@@ -63,12 +63,11 @@ func WithBatchIndex(job BatchJob, sidecarFor string) BatchJob {
 }
 
 // Batch shards a corpus of documents across a pool of worker goroutines
-// driving one compiled Prefilter. Every worker gets a private engine built
-// over the prefilter's immutable plan, so K workers hold one copy of the
-// compiled tables (matchers, interned tags, vocabulary orders) and only the
-// window buffers are per-worker. This is the inter-document axis of
-// parallelism; combine it with Project's WithWorkers for the intra-document
-// axis.
+// driving one compiled Prefilter. Every worker runs the prefilter's shared
+// pipeline engine, so K workers hold one copy of the compiled tables and
+// only the per-run segment buffers are per-worker. This is the
+// inter-document axis of parallelism; IntraWorkers adds the intra-document
+// axis of Project's WithWorkers.
 //
 // The zero value of Workers selects runtime.GOMAXPROCS(0). A Batch value is
 // immutable configuration; Run may be called many times and concurrently.
@@ -99,16 +98,16 @@ type Batch struct {
 // results (in job order) plus the batch aggregate. Jobs that fail do not
 // stop the batch; their error is recorded in their BatchResult. Cancelling
 // ctx marks not-yet-started jobs with ctx.Err() and aborts in-flight jobs
-// at their next chunk boundary, so a cancelled batch drains promptly.
+// at their next segment boundary, so a cancelled batch drains promptly.
 func (b *Batch) Run(ctx context.Context, jobs []BatchJob) ([]BatchResult, BatchAggregate) {
+	opts := pipeline.Options{Workers: b.IntraWorkers, ChunkSize: b.ChunkSize}
 	if b.Multi != nil {
-		// A MultiPrefilter is immutable and safe for concurrent use, so every
-		// worker can drive the same merged scan tables; only the per-run
-		// segment chain is private to each in-flight job.
-		multi := b.Multi.multi
-		opts := pipeline.Options{Workers: b.IntraWorkers, ChunkSize: b.ChunkSize}
+		// The merged engine is immutable and safe for concurrent use, so
+		// every worker drives the same scan tables; only the per-run segment
+		// chain is private to each in-flight job.
+		eng := batchEngine{b.Multi.multi, opts}
 		runner := corpus.Runner{
-			NewMultiEngine: func() corpus.MultiEngine { return multiBatchEngine{multi, opts} },
+			NewMultiEngine: func() corpus.MultiEngine { return eng },
 			Workers:        b.Workers,
 		}
 		return runner.Run(ctx, jobs)
@@ -121,93 +120,42 @@ func (b *Batch) Run(ctx context.Context, jobs []BatchJob) ([]BatchResult, BatchA
 		}
 		return results, BatchAggregate{Documents: len(jobs), Failed: len(jobs)}
 	}
-	if b.IntraWorkers > 1 {
-		// Both axes at once: the shared K=1 pipeline engine is immutable, so
-		// every batch worker can drive it concurrently; each job fans its
-		// document scan out across IntraWorkers segment scanners.
-		eng := b.Prefilter.projector()
-		opts := pipeline.Options{Workers: b.IntraWorkers, ChunkSize: b.ChunkSize}
-		runner := corpus.Runner{
-			NewEngine: func() corpus.Engine { return intraBatchEngine{eng, opts} },
-			Workers:   b.Workers,
-		}
-		return runner.Run(ctx, jobs)
-	}
-	plan := b.Prefilter.engine.Plan()
-	chunk := b.ChunkSize
-	pipe := b.Prefilter.projector()
-	runner := corpus.Runner{
-		NewEngine: func() corpus.Engine { return batchEngine{core.NewFromPlan(plan), chunk, pipe} },
-		Workers:   b.Workers,
-	}
+	runner := corpus.Runner{Engine: batchEngine{b.Prefilter.eng, opts}, Workers: b.Workers}
 	return runner.Run(ctx, jobs)
 }
 
-// batchEngine adapts a shared-plan core engine to the corpus runner,
-// carrying the batch's chunk-size override into every run. Jobs with a
-// sidecar loader route through the prefilter's shared pipeline engine, which
-// owns the replay stage.
+// batchEngine adapts a pipeline engine to the corpus runner, carrying the
+// batch's worker and chunk-size overrides into every run: the single-query
+// methods serve a Prefilter's K=1 engine, the multi-query ones a merged
+// MultiPrefilter. Jobs with a sidecar loader route through replayOrScan.
 type batchEngine struct {
-	pf    *core.Prefilter
-	chunk int
-	pipe  *pipeline.Engine
-}
-
-func (e batchEngine) Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error) {
-	return e.pf.ProjectWith(ctx, dst, src, core.RunOptions{ChunkSize: e.chunk})
-}
-
-func (e batchEngine) ProjectIndexed(ctx context.Context, dst io.Writer, src io.Reader, ix *Index) (core.Stats, error) {
-	if ix == nil {
-		st, err := e.Project(ctx, dst, src)
-		st.IndexSkips = 1
-		return st, err
-	}
-	res, err := replayOrScan(ctx, e.pipe, []io.Writer{dst}, src, ix, pipeline.Options{ChunkSize: e.chunk})
-	return res.Aggregate(), singleQueryErr(err)
-}
-
-// intraBatchEngine adapts the K=1 pipeline engine to the corpus runner for
-// batches that also fan out within each document.
-type intraBatchEngine struct {
 	eng  *pipeline.Engine
 	opts pipeline.Options
 }
 
-func (e intraBatchEngine) Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error) {
-	res, err := e.eng.Project(ctx, []io.Writer{dst}, src, e.opts)
-	return res.Aggregate(), singleQueryErr(err)
+func (e batchEngine) Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error) {
+	_, run, err := e.MultiProject(ctx, []io.Writer{dst}, src)
+	return run, singleQueryErr(err)
 }
 
-func (e intraBatchEngine) ProjectIndexed(ctx context.Context, dst io.Writer, src io.Reader, ix *Index) (core.Stats, error) {
-	if ix == nil {
-		st, err := e.Project(ctx, dst, src)
-		st.IndexSkips = 1
-		return st, err
-	}
-	res, err := replayOrScan(ctx, e.eng, []io.Writer{dst}, src, ix, e.opts)
-	return res.Aggregate(), singleQueryErr(err)
+func (e batchEngine) ProjectIndexed(ctx context.Context, dst io.Writer, src io.Reader, ix *Index) (core.Stats, error) {
+	_, run, err := e.MultiProjectIndexed(ctx, []io.Writer{dst}, src, ix)
+	return run, singleQueryErr(err)
 }
 
-// multiBatchEngine adapts a merged multi-query projection to the corpus
-// runner, carrying the batch's worker and chunk-size overrides into every
-// run.
-type multiBatchEngine struct {
-	m    *pipeline.Engine
-	opts pipeline.Options
-}
-
-func (e multiBatchEngine) MultiProject(ctx context.Context, dsts []io.Writer, src io.Reader) ([]core.Stats, core.Stats, error) {
-	res, err := e.m.Project(ctx, dsts, src, e.opts)
+func (e batchEngine) MultiProject(ctx context.Context, dsts []io.Writer, src io.Reader) ([]core.Stats, core.Stats, error) {
+	res, err := e.eng.Project(ctx, dsts, src, e.opts)
 	return res.Query, res.Aggregate(), err
 }
 
-func (e multiBatchEngine) MultiProjectIndexed(ctx context.Context, dsts []io.Writer, src io.Reader, ix *Index) ([]core.Stats, core.Stats, error) {
+// MultiProjectIndexed replays ix when it serves the engine; a nil ix (the
+// job's sidecar was missing or unreadable) scans and counts the skip.
+func (e batchEngine) MultiProjectIndexed(ctx context.Context, dsts []io.Writer, src io.Reader, ix *Index) ([]core.Stats, core.Stats, error) {
 	if ix == nil {
 		query, run, err := e.MultiProject(ctx, dsts, src)
 		run.IndexSkips = 1
 		return query, run, err
 	}
-	res, err := replayOrScan(ctx, e.m, dsts, src, ix, e.opts)
+	res, err := replayOrScan(ctx, e.eng, dsts, src, ix, e.opts)
 	return res.Query, res.Aggregate(), err
 }

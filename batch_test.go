@@ -32,7 +32,7 @@ func batchFixture(t *testing.T) (*Prefilter, [][]byte, [][]byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], _ = projectBytes(t, pf, docs[i])
+		want[i] = oracleProject(t, pf, docs[i])
 	}
 	return pf, docs, want
 }
@@ -219,5 +219,31 @@ func TestBatchFromFileRemovesPartialOutput(t *testing.T) {
 	}
 	if _, err := os.Stat(outCancelled); !os.IsNotExist(err) {
 		t.Errorf("output file left behind after cancellation (stat err = %v)", err)
+	}
+}
+
+// TestBatchResultElapsed checks that every successful job of a single-query
+// and of a multi-query batch reports its own wall-clock time, bounded by the
+// batch's.
+func TestBatchResultElapsed(t *testing.T) {
+	pf, docs, _ := batchFixture(t)
+	m, err := NewMultiPrefilter(pf, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]BatchJob, len(docs))
+	for i, doc := range docs {
+		jobs[i] = BatchFromBytes("doc"+strconv.Itoa(i), doc)
+	}
+	for _, b := range []Batch{{Prefilter: pf, Workers: 2}, {Multi: m, Workers: 2}} {
+		results, agg := b.Run(context.Background(), jobs)
+		if agg.Failed != 0 {
+			t.Fatalf("multi=%v: %d jobs failed", b.Multi != nil, agg.Failed)
+		}
+		for _, res := range results {
+			if res.Elapsed <= 0 || res.Elapsed > agg.Elapsed {
+				t.Errorf("multi=%v %s: Elapsed = %v, want in (0, %v]", b.Multi != nil, res.Name, res.Elapsed, agg.Elapsed)
+			}
+		}
 	}
 }

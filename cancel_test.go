@@ -84,7 +84,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 // uncancelled run afterwards (the pooled engine must not be poisoned).
 func TestProjectCancelledSerial(t *testing.T) {
 	pf, doc := cancelFixture(t)
-	want, _ := projectBytes(t, pf, doc)
+	want := oracleProject(t, pf, doc)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -122,7 +122,7 @@ func TestProjectCancelledSerial(t *testing.T) {
 // output for the uncancelled control run.
 func TestProjectCancelledParallel(t *testing.T) {
 	pf, doc := cancelFixture(t)
-	want, _ := projectBytes(t, pf, doc)
+	want := oracleProject(t, pf, doc)
 
 	for _, workers := range []int{2, 4, 8} {
 		workers := workers
@@ -161,11 +161,7 @@ func TestMultiProjectCancelledMatrix(t *testing.T) {
 		m, doc := multiFixture(t, XMark, k, 256<<10)
 		want := make([][]byte, m.Len())
 		for i := range want {
-			var buf bytes.Buffer
-			if _, err := m.Query(i).Project(context.Background(), &buf, bytes.NewReader(doc)); err != nil {
-				t.Fatal(err)
-			}
-			want[i] = buf.Bytes()
+			want[i] = oracleProject(t, m.Query(i), doc)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			workers := workers

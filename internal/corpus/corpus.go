@@ -17,9 +17,10 @@ import (
 )
 
 // Engine is the per-document prefiltering interface the runner drives;
-// *core.Prefilter satisfies it directly. The batch context is passed into
-// every run, so cancelling the batch aborts in-flight projections at their
-// next chunk boundary rather than only skipping unstarted jobs.
+// *core.Prefilter satisfies it directly, and smp.Batch adapts its pipeline
+// engine to it. The batch context is passed into every run, so cancelling
+// the batch aborts in-flight projections at their next chunk or segment
+// boundary rather than only skipping unstarted jobs.
 type Engine interface {
 	Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error)
 }
@@ -163,15 +164,14 @@ func (a Aggregate) OutputRatio() float64 {
 
 // Runner shards jobs across a fixed pool of workers.
 type Runner struct {
-	// Engine is the shared prefiltering engine. core.Prefilter is
-	// goroutine-safe, so sharing one engine across workers is correct; it is
-	// required unless NewEngine is set.
+	// Engine is the shared prefiltering engine; every worker calls it
+	// concurrently, so it must be goroutine-safe. It is required unless
+	// NewEngine is set.
 	Engine Engine
 	// NewEngine, if non-nil, is called once per worker so that every worker
-	// owns a private engine instance (no shared mutable state at all on the
-	// hot path). It takes precedence over Engine. Return engines built with
-	// core.NewFromPlan over one shared plan so the workers still hold a
-	// single copy of the compiled tables.
+	// owns a private engine instance. It takes precedence over Engine. Build
+	// the engines over one shared plan so the workers still hold a single
+	// copy of the compiled tables.
 	NewEngine func() Engine
 	// NewMultiEngine, if non-nil, turns the batch into a multi-query batch:
 	// every job's document is projected for all K merged queries in one scan
@@ -262,9 +262,10 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, Aggregate) {
 	return results, agg
 }
 
-// runJob executes one job on one worker.
-func runJob(ctx context.Context, worker int, engine Engine, job Job) Result {
-	res := Result{Name: job.Name, Worker: worker}
+// runJob executes one job on one worker. The result is a named return so
+// the deferred Elapsed assignment lands in what the caller receives.
+func runJob(ctx context.Context, worker int, engine Engine, job Job) (res Result) {
+	res = Result{Name: job.Name, Worker: worker}
 	timer := stats.StartTimer()
 	defer func() { res.Elapsed = timer.Elapsed() }()
 
@@ -317,8 +318,8 @@ func runJob(ctx context.Context, worker int, engine Engine, job Job) Result {
 // runMultiJob executes one multi-query job on one worker: the document is
 // opened once, projected for every merged query in one scan, and each
 // query's output goes to its own destination from Job.Dsts.
-func runMultiJob(ctx context.Context, worker int, engine MultiEngine, job Job) Result {
-	res := Result{Name: job.Name, Worker: worker}
+func runMultiJob(ctx context.Context, worker int, engine MultiEngine, job Job) (res Result) {
+	res = Result{Name: job.Name, Worker: worker}
 	timer := stats.StartTimer()
 	defer func() { res.Elapsed = timer.Elapsed() }()
 

@@ -1,10 +1,12 @@
 // Package corpus shards a batch of XML documents across a pool of worker
 // goroutines, each driving its own prefiltering engine, and aggregates the
 // per-document runtime statistics. It is the batch/concurrent layer on top
-// of the single-document engine in internal/core: the engine answers "how do
-// I project one document fast", corpus answers "how do I push a whole corpus
-// through N cores". (The other axes — splitting one large document across
-// cores, and serving K queries from one scan — live in internal/pipeline.)
+// of any single-document engine: the engine answers "how do I project one
+// document fast", corpus answers "how do I push a whole corpus through N
+// cores". smp.Batch drives it with the prefilter's internal/pipeline engine
+// (which also owns the other axes — splitting one large document across
+// cores, and serving K queries from one scan); the paper's engine in
+// internal/core satisfies Engine as well.
 //
 // The zero-configuration path is
 //

@@ -1,7 +1,12 @@
 // Package pipeline is the unified K×W execution engine behind every
-// non-serial projection run: K merged queries replaying one shared
-// candidate stream produced by a segment source that scans the document
-// with W workers (W <= 1 selects an in-line sequential scan).
+// production projection run — smp.Project with or without workers or a
+// trace, MultiProject, Batch and the smpserve handlers: K merged queries
+// replaying one shared candidate stream produced by a segment source that
+// scans the document with W workers (W <= 1 selects an in-line sequential
+// scan). The paper's serial Fig. 4 engine in internal/core is not on any
+// production path; it stays as the reproduction of the paper's tables and
+// as the byte-identity reference the internal/testutil grid compares every
+// cell against.
 //
 // The package merges what used to be two separate exploitations of the
 // paper's reduction (projection → anchored keyword search replayed through
@@ -21,8 +26,8 @@
 // produces an in-order stream of scanned segments, and K query replays
 // consume it, retiring segments once every live query has passed them.
 //
-// Invariants that make every cell of the K×W grid byte-identical to a
-// standalone serial core run of each query:
+// Invariants that make every cell of the K×W grid — K=1, W=1 included —
+// byte-identical to a standalone serial core run of each query:
 //
 //   - Candidates are position-exhaustive for the union vocabulary: every
 //     occurrence any query's state-local search could verify appears in

@@ -64,10 +64,12 @@ type source interface {
 // serialSource reads the input sequentially, cuts it into overlapping
 // segments and scans each in-line against the union vocabulary — the W <= 1
 // shape of the shared pass: no goroutines, recycled buffers, reads stop as
-// soon as the driver stops asking.
+// soon as the driver stops asking. An in-memory input (r nil) is cut the
+// same way, but its segments alias doc instead of being read.
 type serialSource struct {
 	ctx     context.Context
 	r       io.Reader
+	doc     []byte
 	sc      *core.SegmentScanner
 	segSize int
 	overlap int
@@ -86,9 +88,9 @@ type serialSource struct {
 	freeCands [][]core.Candidate
 }
 
-func newSerialSource(ctx context.Context, r io.Reader, scan *core.ScanPlan, segSize int) *serialSource {
+func newSerialSource(ctx context.Context, r io.Reader, doc []byte, scan *core.ScanPlan, segSize int) *serialSource {
 	overlap := scan.MaxKeywordLen() + 1
-	return &serialSource{ctx: ctx, r: r, sc: scan.NewScanner(), segSize: segSize, overlap: overlap}
+	return &serialSource{ctx: ctx, r: r, doc: doc, sc: scan.NewScanner(), segSize: segSize, overlap: overlap}
 }
 
 // next returns the next scanned segment, or nil when the input is
@@ -108,6 +110,15 @@ func (s *serialSource) next() *mseg {
 		return nil
 	}
 	want := s.segSize + s.overlap
+	if s.r == nil {
+		s.carry = s.doc[s.base:min(int(s.base)+want, len(s.doc))]
+		s.bytesRead = s.base + int64(len(s.carry))
+		if len(s.carry) < want {
+			s.done = true
+			return s.emit(len(s.carry), true)
+		}
+		return s.emit(s.segSize, false)
+	}
 	if len(s.carry) < want {
 		if cap(s.carry) < want {
 			grown := make([]byte, len(s.carry), want)
@@ -131,21 +142,23 @@ func (s *serialSource) next() *mseg {
 	return s.emit(s.segSize, false)
 }
 
-// emit cuts a segment owning the first owned bytes of carry, scans it, and
-// carries the tail (the lookahead shared with the next segment) over into a
-// fresh buffer.
+// emit cuts a segment owning the first owned bytes of carry, scans it, and,
+// for a streamed input, carries the tail (the lookahead shared with the next
+// segment) over into a fresh buffer.
 func (s *serialSource) emit(owned int, final bool) *mseg {
 	seg := &mseg{base: s.base, data: s.carry, owned: owned, final: final}
-	tail := s.carry[owned:]
-	var next []byte
-	if n := len(s.freeData); n > 0 {
-		next, s.freeData = s.freeData[n-1], s.freeData[:n-1]
-	}
-	if cap(next) < s.segSize+s.overlap {
-		next = make([]byte, 0, s.segSize+s.overlap)
-	}
-	s.carry = append(next[:0], tail...)
 	s.base += int64(owned)
+	if s.r != nil {
+		tail := s.carry[owned:]
+		var next []byte
+		if n := len(s.freeData); n > 0 {
+			next, s.freeData = s.freeData[n-1], s.freeData[:n-1]
+		}
+		if cap(next) < s.segSize+s.overlap {
+			next = make([]byte, 0, s.segSize+s.overlap)
+		}
+		s.carry = append(next[:0], tail...)
+	}
 
 	var cands []core.Candidate
 	if n := len(s.freeCands); n > 0 {
@@ -157,8 +170,12 @@ func (s *serialSource) emit(owned int, final bool) *mseg {
 
 func (s *serialSource) err() error { return s.terminal }
 
+// recycle keeps a retired segment's buffers for reuse; segments aliasing an
+// in-memory document only give back their candidate list.
 func (s *serialSource) recycle(seg *mseg) {
-	s.freeData = append(s.freeData, seg.data[:0])
+	if s.r != nil {
+		s.freeData = append(s.freeData, seg.data[:0])
+	}
 	s.freeCands = append(s.freeCands, seg.cands[:0])
 }
 

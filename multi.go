@@ -105,7 +105,7 @@ func NewMultiPrefilter(pfs ...*Prefilter) (*MultiPrefilter, error) {
 	}
 	plans := make([]*core.Plan, len(pfs))
 	for i, pf := range pfs {
-		plans[i] = pf.engine.Plan()
+		plans[i] = pf.plan
 	}
 	return &MultiPrefilter{pfs: pfs, multi: pipeline.New(plans)}, nil
 }
@@ -151,10 +151,10 @@ func (m *MultiPrefilter) MinParallelInput(workers int, opts ...ProjectOption) in
 // query. dsts must have one writer per query; a nil writer discards that
 // query's output, and a nil dsts discards every output (measurement runs).
 //
-// MultiProject follows the v2 execution contract: the context is honoured at
-// every segment boundary (a cancelled ctx stops the run before its next read
-// and fails the unfinished queries with ctx.Err()), WithChunkSize overrides
-// the scan granularity for this run, and WithStatsInto receives the
+// MultiProject follows Project's execution contract: the context is honoured
+// at every segment boundary (a cancelled ctx stops the run before its next
+// read and fails the unfinished queries with ctx.Err()), WithChunkSize
+// overrides the scan granularity for this run, and WithStatsInto receives the
 // aggregate counters — the shared scan pass plus every query's replay,
 // with the document counted once — even on error paths. WithWorkers(n) (or
 // WithAutoWorkers) fans the shared scan out across n segment-scan workers:
@@ -169,22 +169,7 @@ func (m *MultiPrefilter) MinParallelInput(workers int, opts ...ProjectOption) in
 // valid either way.
 func (m *MultiPrefilter) MultiProject(ctx context.Context, dsts []io.Writer, src io.Reader, opts ...ProjectOption) ([]Stats, error) {
 	cfg := resolveOptions(opts)
-	tr := m.newRunTrace(cfg)
-	popts := pipeline.Options{Workers: cfg.workers, ChunkSize: cfg.chunkSize, Trace: tr}
-	var res pipeline.Result
-	var err error
-	if cfg.index != nil {
-		// WithIndex: replay the stored candidate stream when it covers the
-		// merged vocabulary and matches the document, scan otherwise (see
-		// WithIndex and BuildIndex).
-		res, err = replayOrScan(ctx, m.multi, dsts, src, cfg.index, popts)
-	} else {
-		res, err = m.multi.Project(ctx, dsts, src, popts)
-	}
-	err = finishTrace(tr, cfg.traceOut, err)
-	if cfg.statsInto != nil {
-		*cfg.statsInto = res.Aggregate()
-	}
+	res, err := execute(ctx, m.multi, dsts, src, cfg, m.newRunTrace(cfg))
 	return res.Query, err
 }
 

@@ -67,13 +67,10 @@ func TestMultiProjectMatchesStandalone(t *testing.T) {
 				}
 				var wantWritten int64
 				for i := 0; i < m.Len(); i++ {
-					var want bytes.Buffer
-					if _, err := m.Query(i).Project(context.Background(), &want, bytes.NewReader(doc)); err != nil {
-						t.Fatalf("%s k=%d w=%d query %d standalone: %v", d, k, workers, i, err)
-					}
-					if !bytes.Equal(want.Bytes(), bufs[i].Bytes()) {
+					want := oracleProject(t, m.Query(i), doc)
+					if !bytes.Equal(want, bufs[i].Bytes()) {
 						t.Errorf("%s k=%d w=%d query %d (%v): multi output %d bytes, standalone %d bytes",
-							d, k, workers, i, m.Query(i).Paths(), bufs[i].Len(), want.Len())
+							d, k, workers, i, m.Query(i).Paths(), bufs[i].Len(), len(want))
 					}
 					wantWritten += int64(bufs[i].Len())
 				}
@@ -199,12 +196,9 @@ func TestBatchMulti(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want bytes.Buffer
-			if _, err := m.Query(q).Project(context.Background(), &want, bytes.NewReader(docs[i])); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want.Bytes(), got) {
-				t.Errorf("job %d query %d: file output differs (%d vs %d bytes)", i, q, len(got), want.Len())
+			want := oracleProject(t, m.Query(q), docs[i])
+			if !bytes.Equal(want, got) {
+				t.Errorf("job %d query %d: file output differs (%d vs %d bytes)", i, q, len(got), len(want))
 			}
 			if res.QueryStats[q].BytesWritten != int64(len(got)) {
 				t.Errorf("job %d query %d: BytesWritten = %d, file has %d", i, q, res.QueryStats[q].BytesWritten, len(got))

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"smp/internal/testutil"
 )
 
 const testDTD = `<!DOCTYPE site [
@@ -27,7 +29,7 @@ const testDTD = `<!DOCTYPE site [
 
 const testDoc = `<site><regions><africa><item><location>United States</location><name>T V</name><payment>Creditcard</payment><description>15''LCD-FlatPanel</description><shipping>Within country</shipping><incategory category="3"/></item></africa><asia/><australia><item ><location>Egypt</location><name>PDA</name><payment>Check</payment><description>Palm Zire 71</description><shipping/><incategory category="3"/></item></australia></regions></site>`
 
-// projectBytes runs the v2 Project over an in-memory document.
+// projectBytes runs Project over an in-memory document.
 func projectBytes(t *testing.T, pf *Prefilter, doc []byte, opts ...ProjectOption) ([]byte, Stats) {
 	t.Helper()
 	var out bytes.Buffer
@@ -36,6 +38,18 @@ func projectBytes(t *testing.T, pf *Prefilter, doc []byte, opts ...ProjectOption
 		t.Fatal(err)
 	}
 	return out.Bytes(), stats
+}
+
+// oracleProject runs the prefilter's plan through the paper's serial Fig. 4
+// engine (internal/core) — the byte-identity reference for Project, which
+// runs the staged pipeline.
+func oracleProject(t *testing.T, pf *Prefilter, doc []byte) []byte {
+	t.Helper()
+	out, err := testutil.SerialProject(t, pf.plan, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestCompileAndProject(t *testing.T) {
@@ -265,6 +279,47 @@ func TestEndToEndGeneratedWorkload(t *testing.T) {
 			}
 			if stats.BytesRead == 0 {
 				t.Errorf("%s: no bytes read", q.ID)
+			}
+		}
+	}
+}
+
+// TestProjectMatchesOracleAllQueries runs every bundled benchmark query
+// through Project with no options, over a regular file (the mmapped
+// in-memory path) and over a bytes.Reader (the streaming path), and
+// compares both against the serial core engine.
+func TestProjectMatchesOracleAllQueries(t *testing.T) {
+	dir := t.TempDir()
+	for _, d := range []Dataset{XMark, Medline} {
+		dtdSrc, _ := DatasetDTD(d)
+		doc, _ := GenerateBytes(d, 200_000, 3)
+		in := filepath.Join(dir, string(d)+".xml")
+		if err := os.WriteFile(in, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		qs, _ := BenchmarkQueries(d)
+		for _, q := range qs {
+			pf, err := Compile(dtdSrc, q.Paths, Options{})
+			if err != nil {
+				t.Fatalf("%s: compile: %v", q.ID, err)
+			}
+			want := oracleProject(t, pf, doc)
+			streamed, _ := projectBytes(t, pf, doc)
+			if !bytes.Equal(streamed, want) {
+				t.Errorf("%s: reader output differs from the oracle (%d vs %d bytes)", q.ID, len(streamed), len(want))
+			}
+			f, err := os.Open(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mapped bytes.Buffer
+			_, err = pf.Project(context.Background(), &mapped, f)
+			f.Close()
+			if err != nil {
+				t.Fatalf("%s: file: %v", q.ID, err)
+			}
+			if !bytes.Equal(mapped.Bytes(), want) {
+				t.Errorf("%s: file output differs from the oracle (%d vs %d bytes)", q.ID, mapped.Len(), len(want))
 			}
 		}
 	}

@@ -23,7 +23,7 @@ func TestWithTrace(t *testing.T) {
 	doc := append([]byte("<site><regions><africa/><asia/><australia>"), bytes.Repeat([]byte("<item><location>x</location><name>n</name><payment>p</payment><description>d</description><shipping/><incategory category=\"1\"/></item>"), 200)...)
 	doc = append(doc, []byte("</australia></regions></site>")...)
 
-	want, _ := projectBytes(t, pf, doc)
+	want := oracleProject(t, pf, doc)
 
 	var traced bytes.Buffer
 	var traceJSON bytes.Buffer
@@ -77,8 +77,8 @@ func TestWithTraceMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want1, _ := projectBytes(t, pf1, []byte(testDoc))
-	want2, _ := projectBytes(t, pf2, []byte(testDoc))
+	want1 := oracleProject(t, pf1, []byte(testDoc))
+	want2 := oracleProject(t, pf2, []byte(testDoc))
 
 	var out1, out2, traceJSON bytes.Buffer
 	_, err = mp.MultiProject(context.Background(), []io.Writer{&out1, &out2}, strings.NewReader(testDoc), WithTrace(&traceJSON))

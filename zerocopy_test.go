@@ -35,10 +35,7 @@ func TestProjectRegularFileZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var want bytes.Buffer
-	if _, err := pf.Project(context.Background(), &want, strings.NewReader(testDoc)); err != nil {
-		t.Fatal(err)
-	}
+	want := oracleProject(t, pf, []byte(testDoc))
 
 	for _, workers := range []int{1, 4} {
 		f, err := os.Open(in)
@@ -53,8 +50,8 @@ func TestProjectRegularFileZeroCopy(t *testing.T) {
 		if !stats.ZeroCopyInput {
 			t.Errorf("workers=%d: regular file input did not take the zero-copy path", workers)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("workers=%d: mmap output differs from streaming output", workers)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("workers=%d: mmap output differs from the oracle", workers)
 		}
 		// The file must look consumed, exactly as streaming leaves it.
 		if off, _ := f.Seek(0, 1); off != int64(len(testDoc)) {
@@ -67,10 +64,7 @@ func TestProjectRegularFileZeroCopy(t *testing.T) {
 func TestProjectFromPipeFallsBack(t *testing.T) {
 	pf := zeroCopyFixture(t)
 
-	var want bytes.Buffer
-	if _, err := pf.Project(context.Background(), &want, strings.NewReader(testDoc)); err != nil {
-		t.Fatal(err)
-	}
+	want := oracleProject(t, pf, []byte(testDoc))
 
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -89,8 +83,8 @@ func TestProjectFromPipeFallsBack(t *testing.T) {
 	if stats.ZeroCopyInput {
 		t.Error("pipe input reported zero-copy")
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("pipe output differs from streaming output")
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Error("pipe output differs from the oracle")
 	}
 }
 
@@ -182,10 +176,7 @@ func TestProjectPartiallyReadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var want bytes.Buffer
-	if _, err := pf.Project(context.Background(), &want, strings.NewReader(testDoc)); err != nil {
-		t.Fatal(err)
-	}
+	want := oracleProject(t, pf, []byte(testDoc))
 	var got bytes.Buffer
 	stats, err := pf.Project(context.Background(), &got, f)
 	if err != nil {
@@ -194,7 +185,7 @@ func TestProjectPartiallyReadFile(t *testing.T) {
 	if !stats.ZeroCopyInput {
 		t.Error("partially read regular file did not take the zero-copy path")
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("projection from offset 8 = %q, want %q", got.Bytes(), want.Bytes())
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("projection from offset 8 = %q, want %q", got.Bytes(), want)
 	}
 }
