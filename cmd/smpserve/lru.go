@@ -14,10 +14,11 @@ import (
 //
 // Entries are weighed by an explicit byte footprint supplied at insertion,
 // so the cache can be bounded in bytes as well as in entry count. The weight
-// is merge-aware: a single prefilter weighs its whole compiled plan
-// (smp.Prefilter.PlanStats), while a multi-query entry weighs only the union
-// scan tables it adds on top — its per-query plans are shared with (and
-// already weighed by) the individual entries the service resolves first.
+// is merge-aware: a single prefilter weighs its whole compiled plan and
+// engine tables (smp.Prefilter.PlanStats), while a multi-query entry weighs
+// only the merged engine's scan and step tables it adds on top — its
+// per-query plans are shared with (and already weighed by) the individual
+// entries the service resolves first.
 type prefilterCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -39,7 +40,7 @@ type cacheEntry struct {
 	label string
 	val   any
 	// planBytes is the entry's own compiled footprint (the full plan for a
-	// single prefilter, the union scan tables for a merged one); weight adds
+	// single prefilter, the merged engine's tables for a merged one); weight adds
 	// the key bytes (DTD source + spec) the entry pins and is what the
 	// budget counts.
 	planBytes int64

@@ -697,8 +697,8 @@ func (s *server) handleMultiProject(w http.ResponseWriter, r *http.Request) {
 // resolved through the same LRU the /project endpoint uses — so a
 // multi-query request warms (and reuses) exactly the per-query plans that
 // standalone requests serve from — and the merged entry is then cached under
-// the ordered per-query key list, weighed merge-aware: only the union scan
-// tables it adds on top of the already-weighed per-query plans.
+// the ordered per-query key list, weighed merge-aware: only the merged
+// engine's tables it adds on top of the already-weighed per-query plans.
 func (s *server) multiPrefilterFor(r *http.Request) (*smp.MultiPrefilter, []string, error) {
 	dtdSource, err := requestDTD(r)
 	if err != nil {
@@ -749,7 +749,7 @@ func (s *server) multiPrefilterFor(r *http.Request) (*smp.MultiPrefilter, []stri
 	if err != nil {
 		return nil, nil, err
 	}
-	// The merged entry weighs only the union scan tables: its per-query
+	// The merged entry weighs only the merged engine's tables: its per-query
 	// plans are shared with (and weighed by) the single entries resolved
 	// above. The known tradeoff: if capacity pressure later evicts a single
 	// entry, the surviving multi entry still pins that plan, so totalBytes

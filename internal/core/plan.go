@@ -65,9 +65,12 @@ type PlanStats struct {
 	MemBytes int64
 }
 
-// tagStrings are the synthesized serializations of one tagname.
+// tagStrings are the synthesized serializations of one tagname, as strings
+// and as byte slices (the pipeline writes the slices: an io.Writer without
+// WriteString would otherwise copy every synthesized tag).
 type tagStrings struct {
-	open, close, bachelor string
+	open, close, bachelor    string
+	openB, closeB, bachelorB []byte
 }
 
 // NewPlan precompiles the immutable execution plan for a runtime automaton:
@@ -118,6 +121,7 @@ func NewPlan(table *compile.Table, opts Options) *Plan {
 					close:    "</" + st.Label + ">",
 					bachelor: "<" + st.Label + "/>",
 				}
+				t.openB, t.closeB, t.bachelorB = []byte(t.open), []byte(t.close), []byte(t.bachelor)
 				tags[st.Label] = t
 			}
 			p.stateTags[q] = t
@@ -128,8 +132,9 @@ func NewPlan(table *compile.Table, opts Options) *Plan {
 	p.stats.TableBytes = tableSize(table)
 	p.stats.MemBytes = p.stats.MatcherBytes + p.stats.TableBytes
 	for label := range tags {
-		// open + close + bachelor serializations: 3 labels plus 7 brackets.
-		p.stats.MemBytes += int64(3*len(label) + 7)
+		// open + close + bachelor serializations, as strings and as byte
+		// slices: 3 labels plus 7 brackets each.
+		p.stats.MemBytes += 2 * int64(3*len(label)+7)
 	}
 	for q := range p.vocabOrder {
 		p.stats.MemBytes += int64(8 * len(p.vocabOrder[q]))
@@ -176,6 +181,18 @@ func (p *Plan) TagStrings(st *compile.State) (open, close, bachelor string) {
 		return "", "", ""
 	}
 	return t.open, t.close, t.bachelor
+}
+
+// TagBytes is TagStrings as byte slices, for writers without WriteString.
+// The slices are shared read-only state of the plan: an io.Writer may not
+// modify or retain them (the io.Writer contract), and callers must not
+// either.
+func (p *Plan) TagBytes(st *compile.State) (open, close, bachelor []byte) {
+	t := p.stateTags[st.ID]
+	if t == nil {
+		return nil, nil, nil
+	}
+	return t.openB, t.closeB, t.bachelorB
 }
 
 // Table returns the compiled runtime automaton the plan executes.

@@ -57,6 +57,12 @@ type Candidate struct {
 	// (Err is set). When false, the tag straddles the segment's data end
 	// and the stitcher must resume the scan in the following segment.
 	Complete bool
+	// Kw is the keyword's index in the canonical keyword list of the
+	// vocabulary that produced the stream: ScanPlan.Keywords() for a scan,
+	// the stored keyword list for a persisted index. Replays look the
+	// candidate up by this id instead of comparing Token. It sits beside the
+	// bools so the struct stays 72 bytes.
+	Kw int32
 	// Err is the error the serial engine would report if it selected this
 	// candidate (tag longer than MaxTagLength, or end of input inside the
 	// tag). It must only be surfaced if the candidate is actually selected.
@@ -97,6 +103,8 @@ type ScanPlan struct {
 type scanKeyword struct {
 	pattern []byte
 	token   glushkov.Token
+	// id is the keyword's index in ScanPlan.keywords (Candidate.Kw).
+	id int32
 	// word and mask hold the first min(len(pattern), 8) pattern bytes as a
 	// little-endian word: loading the 8 input bytes at the anchor and testing
 	// load&mask == word verifies those bytes in a single branch-free compare
@@ -143,8 +151,8 @@ func NewScanPlanUnion(plans []*Plan) *ScanPlan {
 	sp := &ScanPlan{plan: plans[0], count: len(order), keywords: order}
 	sp.fp = FingerprintKeywords(order)
 	sp.memSize = 2 * 256 * 24 // the two bucket arrays (slice headers)
-	for _, kw := range order {
-		sk := scanKeyword{pattern: []byte(kw), token: tokens[kw]}
+	for i, kw := range order {
+		sk := scanKeyword{pattern: []byte(kw), token: tokens[kw], id: int32(i)}
 		for b := 0; b < len(sk.pattern) && b < 8; b++ {
 			sk.word |= uint64(sk.pattern[b]) << (8 * b)
 			sk.mask |= 0xFF << (8 * b)
@@ -339,7 +347,7 @@ func (s *SegmentScanner) verifyScalar(data []byte, base int64, pos int, final bo
 			s.rejected++
 			continue
 		}
-		c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token}
+		c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token, Kw: kw.id}
 		s.scanTagEnd(data, base, pos, end, final, &c)
 		if c.Token.Close {
 			c.Bachelor = false

@@ -244,7 +244,7 @@ func (s *SegmentScanner) acceptKeyword(kw *scanKeyword, data []byte, base int64,
 		s.rejected++
 		return Candidate{}, false
 	}
-	c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token}
+	c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token, Kw: kw.id}
 	s.scanTagEnd(data, base, pos, end, final, &c)
 	if c.Token.Close {
 		c.Bachelor = false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"smp/internal/compile"
 	"smp/internal/dtd"
@@ -52,11 +53,16 @@ func diffKernels(t testing.TB, sp *ScanPlan, data []byte, base int64, owned int,
 	for i := range got {
 		g, w := got[i], want[i]
 		// Errors are compared by message: the constructors build fresh values.
-		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token ||
+		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token || g.Kw != w.Kw ||
 			g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || g.Complete != w.Complete ||
 			fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
 			t.Fatalf("owned=%d final=%v: candidate %d differs\nswar:   %+v\nscalar: %+v\ninput: %q",
 				owned, final, i, g, w, clip(data))
+		}
+		// Kw must index the producing plan's canonical keyword list at the
+		// candidate's own keyword.
+		if kw := sp.Keywords()[g.Kw]; kw != g.Token.Keyword() {
+			t.Fatalf("candidate %d at %d: Keywords()[Kw=%d] = %q, want %q", i, g.Pos, g.Kw, kw, g.Token.Keyword())
 		}
 	}
 	gm, gi, gr := swar.Counters()
@@ -122,6 +128,18 @@ func TestScanSWAREquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCandidateSize pins the candidate layout on 64-bit platforms: Kw packs
+// beside the two bools, so adding it did not grow the struct that every
+// segment's candidate list holds by the thousand.
+func TestCandidateSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Candidate{}); got != 72 {
+		t.Fatalf("unsafe.Sizeof(Candidate{}) = %d, want 72", got)
 	}
 }
 

@@ -46,10 +46,6 @@ func corruptf(format string, args ...any) error {
 
 // Encode serialises the index into a self-validating sidecar.
 func (ix *Index) Encode() ([]byte, error) {
-	kwIdx := make(map[string]int, len(ix.keywords))
-	for i, kw := range ix.keywords {
-		kwIdx[kw] = i
-	}
 	var tmp [binary.MaxVarintLen64]byte
 	buf := make([]byte, 0, 64+len(ix.keywords)*16+len(ix.cands)*6)
 	buf = append(buf, sidecarMagic...)
@@ -70,9 +66,9 @@ func (ix *Index) Encode() ([]byte, error) {
 		if !c.Complete {
 			return nil, fmt.Errorf("index: incomplete candidate at offset %d (sidecars require a final scan)", c.Pos)
 		}
-		ki, ok := kwIdx[c.Token.Keyword()]
-		if !ok {
-			return nil, fmt.Errorf("index: candidate token %v not in vocabulary", c.Token)
+		ki := int(c.Kw)
+		if ki < 0 || ki >= len(ix.tokens) || ix.tokens[ki] != c.Token {
+			return nil, fmt.Errorf("index: candidate token %v is not keyword %d of the vocabulary", c.Token, ki)
 		}
 		kind, err := errKindOf(c)
 		if err != nil {
@@ -269,6 +265,7 @@ func Decode(data []byte) (*Index, error) {
 			Pos:      pos,
 			KwLen:    kwLen,
 			Token:    ix.tokens[ki],
+			Kw:       int32(ki),
 			Complete: true,
 		}
 		switch kind {

@@ -39,7 +39,9 @@ type Index struct {
 	summary Summary
 	// cands is the verified candidate stream, strictly increasing in Pos.
 	// Every candidate is Complete (the build scan is final), so replays
-	// never re-resolve tag ends from document bytes.
+	// never re-resolve tag ends from document bytes. Each candidate's Kw
+	// indexes keywords: Build copies the scan plan's canonical list in its
+	// order, and Decode sets Kw to the stored kwIdx.
 	cands []core.Candidate
 	// doc is the verified document binding (nil until Bind or Build).
 	doc []byte

@@ -52,7 +52,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		g, w := got[i], want[i]
 		sameErr := (g.Err == nil) == (w.Err == nil) &&
 			(g.Err == nil || g.Err.Error() == w.Err.Error())
-		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token ||
+		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token || g.Kw != w.Kw ||
 			g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || !g.Complete || !sameErr {
 			t.Fatalf("candidate %d: got %+v, want %+v", i, g, w)
 		}

@@ -26,10 +26,17 @@ const (
 type qrun struct {
 	plan  *core.Plan
 	table *compile.Table
+	steps *stepTable
+	// local maps the stream's keyword ids to the query's local tokens:
+	// steps.local for a scan, a remapped copy for a stored stream recorded
+	// under another keyword list.
+	local []int32
 	out   io.Writer
 
-	q      int
-	st     *compile.State
+	q  int
+	st *compile.State
+	// row is steps.row(q): the current state's successors by local token.
+	row    []int32
 	cursor int64
 
 	copyActive bool
@@ -55,6 +62,7 @@ func (k *qrun) live() bool { return !k.done && k.err == nil }
 func (k *qrun) enter(q int) {
 	k.q = q
 	k.st = k.table.State(q)
+	k.row = k.steps.row(q)
 	if len(k.st.Vocabulary) == 0 {
 		k.done = true
 		return
@@ -105,7 +113,8 @@ func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *drive
 		if out == nil {
 			out = io.Discard
 		}
-		d.queries[i] = &qrun{plan: plan, table: plan.Table(), out: out}
+		steps := &e.steps[i]
+		d.queries[i] = &qrun{plan: plan, table: plan.Table(), steps: steps, local: steps.local, out: out}
 	}
 	return d
 }
@@ -181,7 +190,8 @@ func (d *driver) run() (Result, error) {
 // advance feeds k every candidate of every currently loaded segment, in
 // position order. Candidates before the cursor (inside the previous tag, or
 // skipped by a jump) and candidates whose token the current state does not
-// search for are invisible, exactly as they are to a standalone run.
+// search for are invisible, exactly as they are to a standalone run; the
+// vocabulary test is two array loads on the candidate's keyword id.
 // Resolving a straddling tag end may load further segments mid-loop;
 // re-reading lastSeq each iteration picks those up.
 func (d *driver) advance(k *qrun) {
@@ -193,10 +203,15 @@ func (d *driver) advance(k *qrun) {
 			if c.Pos < k.cursor {
 				continue
 			}
-			if !vocabHasToken(k.st, c.Token) {
+			t := k.local[c.Kw]
+			if t < 0 {
 				continue
 			}
-			d.selectCandidate(k, c)
+			next := k.row[t]
+			if next == notInVocab {
+				continue
+			}
+			d.selectCandidate(k, c, next)
 			if !k.live() {
 				return
 			}
@@ -209,26 +224,27 @@ func (d *driver) advance(k *qrun) {
 // selectCandidate performs one step of the Fig. 4 automaton for query k: the
 // candidate is the first valid occurrence of the state's vocabulary at or
 // after the cursor — the same occurrence the standalone engine's search
-// would have matched. A bachelor tag is treated as its opening tag
-// immediately followed by its closing tag.
-func (d *driver) selectCandidate(k *qrun, c *core.Candidate) {
+// would have matched, and next is its step-table entry. A bachelor tag is
+// treated as its opening tag immediately followed by its closing tag.
+func (d *driver) selectCandidate(k *qrun, c *core.Candidate, next int32) {
 	tagEnd, bachelor, err := d.resolveTagEnd(k, c)
 	if err != nil {
 		k.err = err
 		return
 	}
-	next := k.table.Successor(k.q, c.Token)
-	if next < 0 {
+	if next == noTransition {
 		k.err = core.TransitionError(k.q, c.Token)
 		return
 	}
 	if c.Token.Close {
-		d.performClose(k, k.table.State(next), tagEnd, false)
-		k.q = next
+		d.performClose(k, k.table.State(int(next)), tagEnd, false)
+		k.q = int(next)
 	} else {
-		d.performOpen(k, k.table.State(next), c.Pos, tagEnd, bachelor)
-		k.q = next
+		d.performOpen(k, k.table.State(int(next)), c.Pos, tagEnd, bachelor)
+		k.q = int(next)
 		if bachelor {
+			// The implied close keeps the map lookup: it runs once per
+			// bachelor match, not once per candidate.
 			closeTok := glushkov.Closing(c.Token.Name)
 			nextClose := k.table.Successor(k.q, closeTok)
 			if nextClose < 0 {
@@ -311,11 +327,11 @@ func (d *driver) performOpen(k *qrun, st *compile.State, tagStart, tagEnd int64,
 	case projection.CopyTagAttrs:
 		d.writeRaw(k, tagStart, tagEnd+1)
 	case projection.CopyTag:
-		open, _, bach := k.plan.TagStrings(st)
+		open, _, bach := k.plan.TagBytes(st)
 		if bachelor {
-			d.writeString(k, bach)
+			d.writeTag(k, bach)
 		} else {
-			d.writeString(k, open)
+			d.writeTag(k, open)
 		}
 	}
 }
@@ -329,13 +345,13 @@ func (d *driver) performClose(k *qrun, st *compile.State, tagEnd int64, bachelor
 			d.writeRaw(k, k.copyStart, tagEnd+1)
 			k.copyActive = false
 		} else if !bachelor {
-			_, closeTag, _ := k.plan.TagStrings(st)
-			d.writeString(k, closeTag)
+			_, closeTag, _ := k.plan.TagBytes(st)
+			d.writeTag(k, closeTag)
 		}
 	case projection.CopyTagAttrs, projection.CopyTag:
 		if !bachelor {
-			_, closeTag, _ := k.plan.TagStrings(st)
-			d.writeString(k, closeTag)
+			_, closeTag, _ := k.plan.TagBytes(st)
+			d.writeTag(k, closeTag)
 		}
 	}
 }
@@ -395,8 +411,10 @@ func (d *driver) writeRaw(k *qrun, from, to int64) {
 	}
 }
 
-// writeString writes a synthesized tag to k's output.
-func (d *driver) writeString(k *qrun, str string) {
+// writeTag writes a synthesized tag to k's output. It takes the plan's
+// interned bytes, not a string: io.WriteString on a writer without a
+// WriteString method copies its argument into a fresh slice on every call.
+func (d *driver) writeTag(k *qrun, tag []byte) {
 	if k.writeErr != nil {
 		return
 	}
@@ -404,7 +422,7 @@ func (d *driver) writeString(k *qrun, str string) {
 	if d.trace != nil {
 		t0 = time.Now()
 	}
-	n, err := io.WriteString(k.out, str)
+	n, err := k.out.Write(tag)
 	if d.trace != nil {
 		d.stitchDur += time.Since(t0)
 	}
@@ -437,7 +455,10 @@ func (d *driver) retire() {
 				}
 			}
 		}
-		d.segs = d.segs[1:]
+		// Shift the chain down rather than reslice it: a chain resliced
+		// from the front loses capacity, and load's append would then
+		// reallocate it every few segments.
+		d.segs = d.segs[:copy(d.segs, d.segs[1:])]
 		d.firstSeq++
 		d.held -= len(head.data)
 		d.src.recycle(head)
@@ -503,15 +524,4 @@ func (d *driver) result() (Result, error) {
 		errs[i] = k.err
 	}
 	return res, &Error{Errs: errs}
-}
-
-// vocabHasToken reports whether the state's frontier vocabulary contains the
-// token (linear scan; vocabularies are small).
-func vocabHasToken(st *compile.State, tok glushkov.Token) bool {
-	for _, kw := range st.Vocabulary {
-		if kw.Token == tok {
-			return true
-		}
-	}
-	return false
 }

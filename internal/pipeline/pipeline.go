@@ -43,13 +43,20 @@ type Engine struct {
 	plans []*core.Plan
 	scan  *core.ScanPlan
 	chunk int
+	// steps holds each query's automaton indexed by union keyword id, and
+	// kwID the id of each union keyword (for remapping a stored stream's
+	// ids in Replay).
+	steps   []stepTable
+	kwID    map[string]int32
+	memSize int64
 }
 
 // New merges the compiled plans of K queries into one projection engine.
-// The union scan tables are derived here, once; Project never builds
-// tables. The plans may come from entirely unrelated path sets — the scan
-// simply searches the union of their vocabularies, and each query's
-// automaton recognizes exactly the candidates it would have matched alone.
+// The union scan tables and each query's keyword-id step table are derived
+// here, once; Project never builds tables. The plans may come from entirely
+// unrelated path sets — the scan simply searches the union of their
+// vocabularies, and each query's automaton recognizes exactly the
+// candidates it would have matched alone.
 func New(plans []*core.Plan) *Engine {
 	if len(plans) == 0 {
 		panic("pipeline: New needs at least one plan")
@@ -60,8 +67,27 @@ func New(plans []*core.Plan) *Engine {
 			chunk = c
 		}
 	}
-	return &Engine{plans: plans, scan: core.NewScanPlanUnion(plans), chunk: chunk}
+	e := &Engine{plans: plans, scan: core.NewScanPlanUnion(plans), chunk: chunk}
+	keywords := e.scan.Keywords()
+	e.kwID = make(map[string]int32, len(keywords))
+	e.memSize = e.scan.MemSize()
+	for i, kw := range keywords {
+		e.kwID[kw] = int32(i)
+		e.memSize += int64(len(kw)) + 24 // map entry: key header, id, overhead
+	}
+	e.steps = make([]stepTable, len(plans))
+	for i, p := range plans {
+		e.steps[i] = newStepTable(p, e.kwID)
+		e.memSize += e.steps[i].memSize()
+	}
+	return e
 }
+
+// MemSize returns the approximate footprint in bytes of the tables the
+// engine adds on top of its plans: the union scan tables and the per-query
+// keyword-id step tables. Caches that already weigh the plans count only
+// this for the engine.
+func (e *Engine) MemSize() int64 { return e.memSize }
 
 // Len returns the number of merged queries.
 func (e *Engine) Len() int { return len(e.plans) }
@@ -249,8 +275,7 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 		return e.projectSerial(ctx, dsts, io.MultiReader(bytes.NewReader(first[:n]), errorReader{err}), nil, chunk, opts.Trace)
 	}
 
-	ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
-	ps.startStreaming(src, first)
+	ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap, src, first, nil)
 	return newDriver(e, dsts, ps, opts.Trace).run()
 }
 
@@ -268,8 +293,7 @@ func (e *Engine) ProjectBuffered(ctx context.Context, dsts []io.Writer, doc []by
 	if opts.Workers <= 1 || len(doc) < segSize+overlap || ctx.Err() != nil {
 		res, err = e.projectSerial(ctx, dsts, nil, doc, chunk, opts.Trace)
 	} else {
-		ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
-		ps.startBuffered(doc)
+		ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap, nil, nil, doc)
 		res, err = newDriver(e, dsts, ps, opts.Trace).run()
 	}
 	res.Scan.ZeroCopyInput = true

@@ -79,15 +79,19 @@ func (s *replaySource) close(st *core.Stats) {
 // is the complete verified occurrence stream of a vocabulary that subsumes
 // every query (see internal/index: Covers gates this, Bind gates staleness).
 //
-// cands must be strictly increasing in Pos with every candidate Complete —
-// the shape internal/index.Build records and Decode validates. The replay is
+// cands must be strictly increasing in Pos with every candidate Complete,
+// and each candidate's Kw must index keywords, the canonical keyword list
+// of the vocabulary the stream was recorded for — the shape
+// internal/index.Build records and Decode validates. The ids are remapped
+// to the engine's once per replay (no remap when the keyword list's
+// fingerprint matches the engine's scan vocabulary). The replay is
 // sequential (opts.Workers is ignored: the scan was the parallel part, and
 // it already happened); opts.ChunkSize sets the segment granularity, which
 // only affects retirement batching, not output. doc may be nil when cands is
 // empty — the replay then behaves like an empty document, which is how
 // summary-proven "no keyword occurs" documents are skipped without touching
 // their bytes (the caller patches Stats.BytesRead afterwards).
-func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, cands []core.Candidate, opts Options) (Result, error) {
+func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, keywords []string, cands []core.Candidate, opts Options) (Result, error) {
 	dsts, chunk, err := e.resolve(dsts, opts)
 	if err != nil {
 		return Result{}, err
@@ -97,7 +101,13 @@ func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, cands
 		segSize = 64
 	}
 	src := &replaySource{ctx: ctx, doc: doc, cands: cands, segSize: segSize}
-	res, runErr := newDriver(e, dsts, src, opts.Trace).run()
+	d := newDriver(e, dsts, src, opts.Trace)
+	if core.FingerprintKeywords(keywords) != e.scan.Fingerprint() {
+		for _, k := range d.queries {
+			k.local = k.steps.remap(keywords, e.kwID)
+		}
+	}
+	res, runErr := d.run()
 	res.Scan.ZeroCopyInput = true
 	return res, runErr
 }

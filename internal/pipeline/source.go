@@ -26,13 +26,15 @@ type mseg struct {
 	// sentinel segment (owned == 0) after the last data segment of a
 	// parallel source. The serial source reports its error directly.
 	sentinelErr error
-	// scanned is closed by the scanning worker of a parallel source once
-	// cands is filled; nil for serial segments (scanned in-line).
+	// scanned receives one token from the scanning worker of a parallel
+	// source once cands is filled; nil for serial segments (scanned
+	// in-line). Its buffer of one lets the worker signal without waiting
+	// for the driver, and lets the channel survive recycling.
 	scanned chan struct{}
 	// skipped marks a segment whose scan was skipped because the run
 	// context was cancelled; its empty candidate list must read as a
 	// cancellation, never as a clean end of input. Written by the scanning
-	// worker before scanned closes.
+	// worker before it signals scanned.
 	skipped bool
 }
 
@@ -61,146 +63,254 @@ type source interface {
 	close(st *core.Stats)
 }
 
-// serialSource reads the input sequentially, cuts it into overlapping
-// segments and scans each in-line against the union vocabulary — the W <= 1
-// shape of the shared pass: no goroutines, recycled buffers, reads stop as
-// soon as the driver stops asking. An in-memory input (r nil) is cut the
-// same way, but its segments alias doc instead of being read.
-type serialSource struct {
-	ctx     context.Context
-	r       io.Reader
-	doc     []byte
-	sc      *core.SegmentScanner
-	segSize int
-	overlap int
-	carry   []byte // bytes already read past the previous segment boundary
-	base    int64
-	done    bool
-	// terminal is the terminal failure — a read error or the run context's
-	// error — observed after the last data segment was handed out; nil at a
-	// clean end of input.
-	terminal error
-
-	bytesRead int64
-	// freeData and freeCands recycle retired segments' buffers, so the
-	// steady state allocates nothing per segment.
-	freeData  [][]byte
-	freeCands [][]core.Candidate
+// segPool recycles one run's retired segments: the structs with, for
+// streamed input, their data buffers, which the segmenter draws new
+// segments from, and the candidate lists, which the scanners draw from at
+// scan time — so the steady state of a run allocates nothing per segment,
+// and a serial run keeps a single list in circulation. The parallel source
+// shares the pool between the driver (put), the reader and the scanners,
+// hence the lock. It is a free list only: an empty pool allocates, it
+// never waits for a retirement — a tag straddling many segments keeps them
+// all live, so a bound released on retire could deadlock.
+type segPool struct {
+	mu    sync.Mutex
+	segs  []*mseg
+	cands [][]core.Candidate
+	// candCap is the largest candidate-list capacity retired so far: a
+	// list allocated once the pool has run dry starts at that size instead
+	// of growing from nil.
+	candCap int
+	// parallel gives new segments their scanned channel.
+	parallel bool
+	// keepData is false when segments alias an in-memory document: that
+	// memory must never be written to, so only candidate lists are kept.
+	keepData bool
 }
 
-func newSerialSource(ctx context.Context, r io.Reader, doc []byte, scan *core.ScanPlan, segSize int) *serialSource {
-	overlap := scan.MaxKeywordLen() + 1
-	return &serialSource{ctx: ctx, r: r, doc: doc, sc: scan.NewScanner(), segSize: segSize, overlap: overlap}
-}
-
-// next returns the next scanned segment, or nil when the input is
-// exhausted. The context is checked here, at the segment boundary, so a
-// cancelled run stops before its next read. A mid-stream read error emits
-// the bytes read so far as a non-final trailing segment first — anything
-// unresolved at its edge (a truncated keyword or tag) then chases the next
-// segment, finds none, and surfaces the underlying error exactly where the
-// serial window would.
-func (s *serialSource) next() *mseg {
-	if s.done {
-		return nil
+// get returns an empty segment, with a data buffer for streamed input once
+// one has been retired.
+func (p *segPool) get() *mseg {
+	p.mu.Lock()
+	if n := len(p.segs); n > 0 {
+		seg := p.segs[n-1]
+		p.segs = p.segs[:n-1]
+		p.mu.Unlock()
+		return seg
 	}
-	if err := s.ctx.Err(); err != nil {
-		s.done = true
-		s.terminal = err
-		return nil
+	p.mu.Unlock()
+	seg := &mseg{}
+	if p.parallel {
+		seg.scanned = make(chan struct{}, 1)
 	}
-	want := s.segSize + s.overlap
-	if s.r == nil {
-		s.carry = s.doc[s.base:min(int(s.base)+want, len(s.doc))]
-		s.bytesRead = s.base + int64(len(s.carry))
-		if len(s.carry) < want {
-			s.done = true
-			return s.emit(len(s.carry), true)
-		}
-		return s.emit(s.segSize, false)
-	}
-	if len(s.carry) < want {
-		if cap(s.carry) < want {
-			grown := make([]byte, len(s.carry), want)
-			copy(grown, s.carry)
-			s.carry = grown
-		}
-		n, err := io.ReadFull(s.r, s.carry[len(s.carry):want])
-		s.carry = s.carry[:len(s.carry)+n]
-		s.bytesRead += int64(n)
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			s.done = true
-			return s.emit(len(s.carry), true)
-		default:
-			s.done = true
-			s.terminal = err
-			return s.emit(len(s.carry), false)
-		}
-	}
-	return s.emit(s.segSize, false)
-}
-
-// emit cuts a segment owning the first owned bytes of carry, scans it, and,
-// for a streamed input, carries the tail (the lookahead shared with the next
-// segment) over into a fresh buffer.
-func (s *serialSource) emit(owned int, final bool) *mseg {
-	seg := &mseg{base: s.base, data: s.carry, owned: owned, final: final}
-	s.base += int64(owned)
-	if s.r != nil {
-		tail := s.carry[owned:]
-		var next []byte
-		if n := len(s.freeData); n > 0 {
-			next, s.freeData = s.freeData[n-1], s.freeData[:n-1]
-		}
-		if cap(next) < s.segSize+s.overlap {
-			next = make([]byte, 0, s.segSize+s.overlap)
-		}
-		s.carry = append(next[:0], tail...)
-	}
-
-	var cands []core.Candidate
-	if n := len(s.freeCands); n > 0 {
-		cands, s.freeCands = s.freeCands[n-1], s.freeCands[:n-1]
-	}
-	seg.cands = s.sc.Scan(cands[:0], seg.data, seg.base, seg.owned, seg.final)
 	return seg
 }
 
-func (s *serialSource) err() error { return s.terminal }
-
-// recycle keeps a retired segment's buffers for reuse; segments aliasing an
-// in-memory document only give back their candidate list.
-func (s *serialSource) recycle(seg *mseg) {
-	if s.r != nil {
-		s.freeData = append(s.freeData, seg.data[:0])
+// candidates returns an empty candidate list to scan into.
+func (p *segPool) candidates() []core.Candidate {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.cands); n > 0 {
+		cands := p.cands[n-1]
+		p.cands = p.cands[:n-1]
+		return cands
 	}
-	s.freeCands = append(s.freeCands, seg.cands[:0])
+	if p.candCap == 0 {
+		return nil
+	}
+	return make([]core.Candidate, 0, p.candCap)
 }
+
+// put resets a retired segment and keeps its buffers for reuse.
+func (p *segPool) put(seg *mseg) {
+	data := seg.data[:0]
+	if !p.keepData {
+		data = nil
+	}
+	cands := seg.cands[:0]
+	*seg = mseg{data: data, scanned: seg.scanned}
+	p.mu.Lock()
+	p.segs = append(p.segs, seg)
+	if cap(cands) > 0 {
+		p.cands = append(p.cands, cands)
+		p.candCap = max(p.candCap, cap(cands))
+	}
+	p.mu.Unlock()
+}
+
+// segmenter cuts the input into overlapping segments: the one segmentation
+// loop behind both sources. A streamed input (r non-nil) is read into
+// pooled buffers, each segment's lookahead tail copied into the next one's
+// buffer; an in-memory input (r nil) is cut the same way, but its segments
+// alias doc, with no copies. The context is checked at every segment
+// boundary, so a cancelled run stops before its next read.
+type segmenter struct {
+	ctx     context.Context
+	r       io.Reader
+	doc     []byte
+	segSize int
+	overlap int
+	// pool is the run's free list: segments are drawn from it and retired
+	// segments recycled to it.
+	pool segPool
+
+	// carry is the next segment, drawn from the pool; for a streamed input
+	// its data holds the bytes already read past the previous boundary.
+	carry *mseg
+	base  int64
+	done  bool
+	// terminal is the terminal failure — a read error or the run context's
+	// error — observed after the last data segment was handed out; nil at a
+	// clean end of input.
+	terminal  error
+	bytesRead int64
+}
+
+// newSegmenter prepares the cut of r (or of doc when r is nil). first holds
+// any bytes of r already read, the start of the first segment.
+func newSegmenter(ctx context.Context, r io.Reader, first, doc []byte, segSize, overlap int, parallel bool) *segmenter {
+	g := &segmenter{ctx: ctx, r: r, doc: doc, segSize: segSize, overlap: overlap}
+	g.pool.parallel, g.pool.keepData = parallel, r != nil
+	g.carry = g.pool.get()
+	g.carry.data = first
+	g.bytesRead = int64(len(first))
+	return g
+}
+
+// next returns the next segment, unscanned, or nil once the input is
+// exhausted (terminal then holds any failure). A mid-stream read error
+// emits the bytes read so far as a non-final trailing segment first —
+// anything unresolved at its edge (a truncated keyword or tag) then chases
+// the next segment, finds none, and surfaces the underlying error exactly
+// where the serial window would.
+func (g *segmenter) next() *mseg {
+	if g.done {
+		return nil
+	}
+	if err := g.ctx.Err(); err != nil {
+		g.done = true
+		g.terminal = err
+		return nil
+	}
+	seg := g.carry
+	want := g.segSize + g.overlap
+	if g.r == nil {
+		seg.data = g.doc[g.base:min(int(g.base)+want, len(g.doc))]
+		g.bytesRead = g.base + int64(len(seg.data))
+		if len(seg.data) < want {
+			g.done = true
+			return g.emit(len(seg.data), true)
+		}
+	} else if len(seg.data) < want {
+		if cap(seg.data) < want {
+			grown := make([]byte, len(seg.data), want)
+			copy(grown, seg.data)
+			seg.data = grown
+		}
+		n, err := io.ReadFull(g.r, seg.data[len(seg.data):want])
+		seg.data = seg.data[:len(seg.data)+n]
+		g.bytesRead += int64(n)
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			g.done = true
+			return g.emit(len(seg.data), true)
+		default:
+			g.done = true
+			g.terminal = err
+			return g.emit(len(seg.data), false)
+		}
+	}
+	// A parallel source backs the boundary off to the last '<' before the
+	// nominal end (see cut); the serial source cuts at fixed offsets. Either
+	// way the boundary only assigns candidate ownership.
+	owned := g.segSize
+	if g.pool.parallel {
+		owned = cut(seg.data, g.segSize)
+	}
+	return g.emit(owned, false)
+}
+
+// emit hands out the carry segment owning its first owned bytes and, unless
+// the input ended, draws the next carry — for a streamed input seeded with
+// the tail (the lookahead the two segments share).
+func (g *segmenter) emit(owned int, final bool) *mseg {
+	seg := g.carry
+	seg.base, seg.owned, seg.final = g.base, owned, final
+	g.base += int64(owned)
+	g.carry = nil
+	if g.done {
+		return seg
+	}
+	next := g.pool.get()
+	if g.r != nil {
+		if want := g.segSize + g.overlap; cap(next.data) < want {
+			next.data = make([]byte, 0, want)
+		}
+		next.data = append(next.data[:0], seg.data[owned:]...)
+	}
+	g.carry = next
+	seg.data = seg.data[:owned+g.overlap]
+	return seg
+}
+
+// serialSource scans the segmenter's segments in-line against the union
+// vocabulary — the W <= 1 shape of the shared pass: no goroutines, recycled
+// buffers, reads stop as soon as the driver stops asking.
+type serialSource struct {
+	seg *segmenter
+	sc  *core.SegmentScanner
+}
+
+func newSerialSource(ctx context.Context, r io.Reader, doc []byte, scan *core.ScanPlan, segSize int) *serialSource {
+	return &serialSource{
+		seg: newSegmenter(ctx, r, nil, doc, segSize, scan.MaxKeywordLen()+1, false),
+		sc:  scan.NewScanner(),
+	}
+}
+
+// next returns the next scanned segment, or nil when the input is
+// exhausted.
+func (s *serialSource) next() *mseg {
+	seg := s.seg.next()
+	if seg != nil {
+		seg.cands = s.sc.Scan(s.seg.pool.candidates(), seg.data, seg.base, seg.owned, seg.final)
+	}
+	return seg
+}
+
+func (s *serialSource) err() error { return s.seg.terminal }
+
+func (s *serialSource) recycle(seg *mseg) { s.seg.pool.put(seg) }
 
 func (s *serialSource) close(st *core.Stats) {
 	m, inspected, rejected := s.sc.Counters()
-	st.BytesRead = s.bytesRead
+	st.BytesRead = s.seg.bytesRead
 	st.CharComparisons += m.Comparisons + inspected
 	st.Shifts += m.Shifts
 	st.ShiftTotal += m.ShiftTotal
 	st.RejectedMatches += rejected
 }
 
+// scanAhead is the capacity of the parallel source's reorder buffer: the
+// reader blocks once this many segments await the driver, so the scan runs
+// at most scanAhead+1 segments ahead of the replay (the one more is the
+// segment the blocked reader holds), whatever the input's shape or
+// backing. Two rounds of W segments keep every worker busy while the
+// driver consumes the previous round; the +2 absorbs the segment being
+// replayed and the one being cut.
+func scanAhead(workers int) int { return 2*workers + 2 }
+
 // parallelSource scans segments on W worker goroutines. A reader goroutine
-// (or an up-front in-memory segmentation) cuts the input at '<' boundaries
-// and feeds each segment to a worker (jobs) and, in input order, to the
-// driver (ordered, the bounded reorder buffer); workers fill each segment's
-// candidate list and close its scanned channel. The driver's pulls observe
+// runs the segmenter — over a stream or an in-memory document alike — and
+// feeds each segment to a worker (jobs) and, in input order, to the driver
+// (ordered, the bounded reorder buffer); workers fill each segment's
+// candidate list and signal its scanned channel. The driver's pulls observe
 // the run context directly, so a cancelled projection unblocks without
 // waiting for the reader to notice.
 type parallelSource struct {
-	ctx     context.Context
-	scan    *core.ScanPlan
-	workers int
-	segSize int
-	overlap int
+	ctx  context.Context
+	scan *core.ScanPlan
+	seg  *segmenter
 
 	jobs    chan *mseg
 	ordered chan *mseg
@@ -211,172 +321,80 @@ type parallelSource struct {
 	mu       sync.Mutex
 	scanners []*core.SegmentScanner
 
-	// bytesRead is written by the reader goroutine (or startBuffered) and
-	// read after readerWG.Wait in close.
-	bytesRead int64
-
 	done     bool
 	terminal error
 }
 
-func newParallelSource(ctx context.Context, scan *core.ScanPlan, workers, segSize, overlap int) *parallelSource {
-	return &parallelSource{
+// newParallelSource starts the reader and the W scanners over r (first
+// holds the block Project already read while probing the input size) or,
+// when r is nil, over the in-memory doc.
+func newParallelSource(ctx context.Context, scan *core.ScanPlan, workers, segSize, overlap int, r io.Reader, first, doc []byte) *parallelSource {
+	p := &parallelSource{
 		ctx:     ctx,
 		scan:    scan,
-		workers: workers,
-		segSize: segSize,
-		overlap: overlap,
+		jobs:    make(chan *mseg, workers),
+		ordered: make(chan *mseg, scanAhead(workers)),
+		quit:    make(chan struct{}),
 	}
-}
-
-// spawnScanners starts the worker pool scanning segments from jobs (closing
-// each segment's scanned channel) until the channel closes. A cancelled ctx
-// turns the remaining scans into no-ops — each segment's scanned channel is
-// still closed, so a driver that has not yet observed the cancellation
-// never blocks on a skipped segment (its empty candidate list just stops
-// the replay until the terminal sentinel arrives).
-func (p *parallelSource) spawnScanners() {
-	for w := 0; w < p.workers; w++ {
-		p.scanWG.Add(1)
-		go func() {
-			defer p.scanWG.Done()
-			sc := p.scan.NewScanner()
-			for seg := range p.jobs {
-				if p.ctx.Err() == nil {
-					seg.cands = sc.Scan(seg.cands, seg.data, seg.base, seg.owned, seg.final)
-				} else {
-					seg.skipped = true
-				}
-				close(seg.scanned)
-			}
-			p.mu.Lock()
-			p.scanners = append(p.scanners, sc)
-			p.mu.Unlock()
-		}()
-	}
-}
-
-// startStreaming launches the reader goroutine over src; first holds the
-// block Project already read while probing the input size.
-func (p *parallelSource) startStreaming(src io.Reader, first []byte) {
-	p.jobs = make(chan *mseg, p.workers)
-	// ordered is the bounded reorder buffer: the reader blocks once this
-	// many segments are in flight, which bounds memory to
-	// O(inflight * (segSize+overlap)) however far scanning runs ahead of
-	// the replay.
-	p.ordered = make(chan *mseg, 2*p.workers+2)
-	p.quit = make(chan struct{})
+	p.seg = newSegmenter(ctx, r, first, doc, segSize, overlap, true)
 	p.readerWG.Add(1)
 	go func() {
 		defer p.readerWG.Done()
-		p.read(src, first)
+		p.read()
 	}()
-	p.spawnScanners()
+	for w := 0; w < workers; w++ {
+		p.scanWG.Add(1)
+		go func() {
+			defer p.scanWG.Done()
+			p.scanJobs()
+		}()
+	}
+	return p
 }
 
-// startBuffered segments an in-memory document up front, aliasing doc — no
-// reader goroutine, no segment copies; the reorder buffer degenerates to a
-// prefilled queue.
-func (p *parallelSource) startBuffered(doc []byte) {
-	var segs []*mseg
-	for base := 0; base < len(doc); {
-		rest := doc[base:]
-		if len(rest) <= p.segSize+p.overlap {
-			segs = append(segs, &mseg{
-				base: int64(base), data: rest, owned: len(rest),
-				final: true, scanned: make(chan struct{}),
-			})
-			break
+// scanJobs is one worker: it scans segments from jobs until the channel
+// closes. Once the run is cancelled or the driver has stopped pulling, the
+// remaining scans are skipped — each segment is still signalled, so a
+// driver that has not yet observed the cancellation never blocks on a
+// skipped segment (its empty candidate list just stops the replay until
+// the terminal sentinel arrives).
+func (p *parallelSource) scanJobs() {
+	sc := p.scan.NewScanner()
+	for seg := range p.jobs {
+		select {
+		case <-p.quit:
+			seg.skipped = true
+		default:
+			if p.ctx.Err() == nil {
+				seg.cands = sc.Scan(p.seg.pool.candidates(), seg.data, seg.base, seg.owned, seg.final)
+			} else {
+				seg.skipped = true
+			}
 		}
-		boundary := cut(rest, p.segSize)
-		segs = append(segs, &mseg{
-			base: int64(base), data: rest[:boundary+p.overlap], owned: boundary,
-			scanned: make(chan struct{}),
-		})
-		base += boundary
+		seg.scanned <- struct{}{}
 	}
-	p.jobs = make(chan *mseg, len(segs))
-	p.ordered = make(chan *mseg, len(segs))
-	for _, seg := range segs {
-		p.jobs <- seg
-		p.ordered <- seg
-	}
-	close(p.jobs)
-	close(p.ordered)
-	p.bytesRead = int64(len(doc))
-	p.spawnScanners()
+	p.mu.Lock()
+	p.scanners = append(p.scanners, sc)
+	p.mu.Unlock()
 }
 
-// read cuts the input into segments and feeds them to the workers and, in
-// order, to the driver. carry holds the bytes already read past the
-// previous boundary (the probed first block on entry).
-func (p *parallelSource) read(src io.Reader, carry []byte) {
+// read runs the segmentation loop, handing each segment to a worker and,
+// in order, to the driver, then the terminal error sentinel if the input
+// failed or the run was cancelled.
+func (p *parallelSource) read() {
 	defer close(p.jobs)
 	defer close(p.ordered)
-	p.bytesRead = int64(len(carry))
-
-	var base int64
-	eof := false
 	for {
-		// The context check sits at the segment boundary — the parallel
-		// pipeline's analogue of the serial window's chunk boundary. The
-		// carry bytes are dropped: after a cancel the workers skip their
-		// scans and the driver fails at its next pull, so only the terminal
-		// sentinel carrying the error matters.
-		if err := p.ctx.Err(); err != nil {
-			p.sendSentinel(err)
-			return
-		}
-		if want := p.segSize + p.overlap; !eof && len(carry) < want {
-			if cap(carry) < want {
-				grown := make([]byte, len(carry), want)
-				copy(grown, carry)
-				carry = grown
-			}
-			m, err := io.ReadFull(src, carry[len(carry):want])
-			carry = carry[:len(carry)+m]
-			p.bytesRead += int64(m)
-			switch err {
-			case nil:
-			case io.EOF, io.ErrUnexpectedEOF:
-				eof = true
-			default:
-				// Scan what was read before the error (the serial engine
-				// would have processed it), then surface the error as a
-				// terminal sentinel. The data segment is deliberately NOT
-				// final: anything unresolved at its edge (a truncated
-				// keyword or tag) then chases the next segment and finds
-				// the sentinel, so the driver reports the underlying read
-				// error — as the serial window would — rather than a
-				// synthesized end-of-input error.
-				if !p.emit(&mseg{base: base, data: carry, owned: len(carry), scanned: make(chan struct{})}) {
-					return
-				}
+		seg := p.seg.next()
+		if seg == nil {
+			if err := p.seg.terminal; err != nil {
 				p.sendSentinel(err)
-				return
 			}
-		}
-		if eof {
-			p.emit(&mseg{base: base, data: carry, owned: len(carry), final: true, scanned: make(chan struct{})})
 			return
-		}
-		boundary := cut(carry, p.segSize)
-		seg := &mseg{
-			base:    base,
-			data:    carry[:boundary+p.overlap],
-			owned:   boundary,
-			scanned: make(chan struct{}),
 		}
 		if !p.emit(seg) {
 			return
 		}
-		// The tail (including the lookahead the segment shares) becomes the
-		// next segment's head. It must be copied: the dispatched segment's
-		// data aliases the old buffer, which workers read concurrently.
-		next := make([]byte, len(carry)-boundary, p.segSize+p.overlap)
-		copy(next, carry[boundary:])
-		base += int64(boundary)
-		carry = next
 	}
 }
 
@@ -398,10 +416,8 @@ func (p *parallelSource) emit(seg *mseg) bool {
 
 // sendSentinel emits the terminal error sentinel to the driver.
 func (p *parallelSource) sendSentinel(err error) {
-	sentinel := &mseg{sentinelErr: err, scanned: make(chan struct{})}
-	close(sentinel.scanned)
 	select {
-	case p.ordered <- sentinel:
+	case p.ordered <- &mseg{sentinelErr: err}:
 	case <-p.quit:
 	}
 }
@@ -446,24 +462,22 @@ func (p *parallelSource) next() *mseg {
 
 func (p *parallelSource) err() error { return p.terminal }
 
-// recycle is a no-op: parallel segments either alias the caller's document
-// (buffered runs) or are allocated by the reader, which cannot safely reuse
-// buffers the replay side releases.
-func (p *parallelSource) recycle(*mseg) {}
+// recycle returns a retired segment to the run's pool, where the reader
+// draws its next segments from; segments aliasing an in-memory document
+// give back only their candidate list.
+func (p *parallelSource) recycle(seg *mseg) { p.seg.pool.put(seg) }
 
 // close unwinds the pipeline: stop the reader (it may be blocked on a full
-// channel or a slow src), let the workers drain the remaining jobs, discard
+// channel or a slow src), let the workers skip the remaining jobs, discard
 // whatever the driver did not consume, then fold the workers' scan counters
 // and the reader's byte count into st.
 func (p *parallelSource) close(st *core.Stats) {
-	if p.quit != nil {
-		close(p.quit)
-	}
+	close(p.quit)
 	for range p.ordered {
 	}
 	p.readerWG.Wait()
 	p.scanWG.Wait()
-	st.BytesRead = p.bytesRead
+	st.BytesRead = p.seg.bytesRead
 	for _, sc := range p.scanners {
 		m, inspected, rejected := sc.Counters()
 		st.CharComparisons += m.Comparisons + inspected

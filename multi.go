@@ -45,16 +45,17 @@ type MultiError = pipeline.Error
 
 // MultiPlanStats report the memory footprint of a compiled MultiPrefilter,
 // split into the per-query plans (which concurrent standalone prefilters for
-// the same queries would hold anyway) and the union scan tables the merge
-// adds on top. Caches that already weigh the per-query plans should count
-// only ScanBytes for a merged entry.
+// the same queries would hold anyway) and the merged engine's tables the
+// merge adds on top. Caches that already weigh the per-query plans should
+// count only ScanBytes for a merged entry.
 type MultiPlanStats struct {
 	// Queries is the number of merged queries.
 	Queries int
 	// UnionKeywords is the size of the merged scan vocabulary.
 	UnionKeywords int
-	// ScanBytes is the approximate footprint of the union scan tables — what
-	// the merge adds on top of the per-query plans.
+	// ScanBytes is the approximate footprint of the merged engine's tables
+	// (the union scan tables and the per-query keyword-id step tables) —
+	// what the merge adds on top of the per-query plans.
 	ScanBytes int64
 	// PlanBytes is the summed footprint of the per-query compiled plans.
 	PlanBytes int64
@@ -123,7 +124,7 @@ func (m *MultiPrefilter) PlanStats() MultiPlanStats {
 	st := MultiPlanStats{
 		Queries:       len(m.pfs),
 		UnionKeywords: m.multi.ScanPlan().KeywordCount(),
-		ScanBytes:     m.multi.ScanPlan().MemSize(),
+		ScanBytes:     m.multi.MemSize(),
 	}
 	for _, pf := range m.pfs {
 		st.PlanBytes += pf.PlanStats().MemBytes

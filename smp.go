@@ -215,8 +215,12 @@ func WithStatsInto(st *Stats) ProjectOption {
 // run — serial or WithWorkers, traced or not, scanned or served WithIndex —
 // takes the staged pipeline of internal/pipeline: a keyword scan over the
 // plan's vocabulary feeding the Fig. 4 automaton's replay. Memory use stays
-// proportional to the chunk size, never to the document or projection size.
-// A regular file is memory-mapped and scanned in place (Stats.ZeroCopyInput).
+// proportional to the chunk size times the worker count (plus a tag that
+// straddles segments), never to the document or projection size, however
+// the input is backed: WithWorkers scanners stay a fixed number of segments
+// ahead of the replay and stop when it stops, on a mapped file as on a
+// stream. A regular file is memory-mapped and scanned in place
+// (Stats.ZeroCopyInput).
 // The input must be valid with respect to the prefilter's DTD.
 //
 // Stats.CharComparisons and Stats.Shifts count the keyword scan, as they do
@@ -344,7 +348,13 @@ func (p *Prefilter) CompileStats() CompileStats { return p.plan.Table().Stats }
 
 // PlanStats returns the size and memory footprint of the prefilter's shared
 // execution plan. K concurrent runs hold one copy of this memory, not K.
-func (p *Prefilter) PlanStats() PlanStats { return p.plan.Stats() }
+// MemBytes also counts the pipeline engine's scan and step tables, which
+// the prefilter pins beside its plan.
+func (p *Prefilter) PlanStats() PlanStats {
+	st := p.plan.Stats()
+	st.MemBytes += p.eng.MemSize()
+	return st
+}
 
 // DescribeTables renders the compiled lookup tables A, V, J and T in a
 // human-readable form (paper Fig. 3), for inspection and debugging.
