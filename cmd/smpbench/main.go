@@ -33,8 +33,9 @@
 //	smpbench -multi 4 -intra 4 -xmark 8MiB
 //
 // With -scan the harness measures the raw candidate-scan kernel in
-// isolation (no automaton replay, no output): the active kernel (SWAR
-// unless SMP_SCAN_KERNEL=scalar pins the reference), the scalar reference
+// isolation (no automaton replay, no output): the active kernel (AVX2 or
+// SWAR as the CPU allows, unless SMP_SCAN_KERNEL=scalar pins the
+// reference; the table and the -json note name it), the scalar reference
 // kernel, and a pure bytes.IndexByte('<') sweep — the memchr reference,
 // i.e. the platform's effective memory bandwidth for anchor finding. Each
 // kernel row reports its throughput as a fraction of that reference:
@@ -113,7 +114,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		coldstart   = fs.Bool("coldstart", false, "cold-start mode: report compile, first-run and steady-state time per query")
 		intra       = fs.Int("intra", 0, "intra-document mode: split one document across N scan workers and compare against serial Project (0 = off)")
 		multi       = fs.Int("multi", 0, "multi-query mode: project one document for K queries in one shared scan and compare against K independent passes (0 = off); combine with -intra for the K×W grid")
-		scanMode    = fs.Bool("scan", false, "scan-kernel mode: measure raw candidate-scan throughput (SWAR, scalar reference, memchr bandwidth reference)")
+		scanMode    = fs.Bool("scan", false, "scan-kernel mode: measure raw candidate-scan throughput (active kernel, scalar reference, memchr bandwidth reference)")
 		indexMode   = fs.Bool("index", false, "index mode: build each query's candidate-index sidecar once, then compare repeated replay against repeated rescanning (byte-identical, then timed)")
 		serveURL    = fs.String("serve", "", "serve mode: load-test a running smpserve at this base URL (e.g. http://localhost:8080)")
 		conns       = fs.Int("conns", 8, "serve mode: concurrent connections")
@@ -895,8 +896,9 @@ func runColdStart(ctx context.Context, cfg experiments.Config, blog *benchLog) (
 // runScanKernel is the -scan mode: it measures the raw candidate-scan
 // kernel on one generated document, with no automaton replay and no output
 // — the layer the paper's "prefiltering at I/O speed" claim lives in.
-// Three rows: the active kernel (SWAR unless SMP_SCAN_KERNEL=scalar pins
-// the scalar reference), the scalar reference kernel, and a pure
+// Three rows: the active kernel (core.ScanKernel: AVX2 or SWAR as the CPU
+// allows, unless SMP_SCAN_KERNEL=scalar pins the scalar reference), the
+// scalar reference kernel, and a pure
 // bytes.IndexByte('<') sweep — the memchr reference, i.e. the platform's
 // effective memory bandwidth for anchor finding. Each row reports its
 // throughput as a fraction of that reference. Both kernels' candidate
@@ -928,10 +930,13 @@ func runScanKernel(ctx context.Context, cfg experiments.Config, blog *benchLog) 
 	}
 	sp := core.NewScanPlan(core.NewPlan(table, core.Options{}))
 
-	active := "swar"
-	if os.Getenv("SMP_SCAN_KERNEL") == "scalar" {
-		active = "scalar"
+	// The "scan" record keeps its key whichever kernel is active, so the
+	// trajectory point's note names the kernel that produced it.
+	active := core.ScanKernel()
+	if blog.note != "" {
+		blog.note += "; "
 	}
+	blog.note += "scan kernel " + active
 
 	// Differential gate before timing: the dispatching kernel must emit
 	// exactly the scalar reference kernel's candidate stream.
@@ -1029,7 +1034,7 @@ func runScanKernel(ctx context.Context, cfg experiments.Config, blog *benchLog) 
 			strconv.Itoa(m.count),
 		)
 	}
-	t.AddNote("candidate discovery only, no automaton replay or output; memchr is a pure bytes.IndexByte('<') sweep — the platform's memory-bandwidth reference for anchor finding; Matches counts candidates for the kernels and raw '<' anchors for memchr; active kernel: %s (pin with SMP_SCAN_KERNEL=scalar)", active)
+	t.AddNote("candidate discovery only, no automaton replay or output; memchr is a pure bytes.IndexByte('<') sweep — the platform's memory-bandwidth reference for anchor finding; Matches counts candidates for the kernels and raw '<' anchors for memchr; active kernel: %s, chosen from the CPU (pin the reference with SMP_SCAN_KERNEL=scalar)", active)
 	return t, nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"smp/internal/core"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -171,7 +173,8 @@ func TestRunScanKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"Scan kernel bandwidth", "scan (swar)", "scalar reference", "memchr", "% of memchr"} {
+	active := core.ScanKernel()
+	for _, want := range []string{"Scan kernel bandwidth", "scan (" + active + ")", "active kernel: " + active, "scalar reference", "memchr", "% of memchr"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -188,7 +191,7 @@ func TestRunScanKernel(t *testing.T) {
 	if point.Date == "" || point.Rev == "" {
 		t.Errorf("point missing rev/date: %+v", point)
 	}
-	if point.Note != "unit test point" {
+	if point.Note != "unit test point; scan kernel "+active {
 		t.Errorf("note = %q", point.Note)
 	}
 	inputs := map[string]bool{}

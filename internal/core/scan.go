@@ -89,6 +89,9 @@ type ScanPlan struct {
 	// open[c] holds the keywords "<c…" and closing[c] the keywords "</c…",
 	// longest first, indexed by the first tagname byte.
 	open, closing [256][]scanKeyword
+	// nibbles is the AVX2 anchor filter's view of the two bucket arrays
+	// (see nibbleTables); the portable kernels never read it.
+	nibbles [128]byte
 	// keywords is the union vocabulary in canonical order (longest first,
 	// ties lexicographic — the bucket insertion order); fp is the FNV-1a
 	// fingerprint of that list. Together they identify the vocabulary a
@@ -129,16 +132,22 @@ func NewScanPlanUnion(plans []*Plan) *ScanPlan {
 		panic("core: NewScanPlanUnion needs at least one plan")
 	}
 	tokens := make(map[string]glushkov.Token)
-	var order []string
 	for _, p := range plans {
 		for _, st := range p.table.States {
 			for _, kw := range st.Vocabulary {
-				if _, ok := tokens[kw.Keyword]; !ok {
-					tokens[kw.Keyword] = kw.Token
-					order = append(order, kw.Keyword)
-				}
+				tokens[kw.Keyword] = kw.Token
 			}
 		}
+	}
+	return newScanPlan(plans[0], tokens)
+}
+
+// newScanPlan buckets a vocabulary, given as keyword → token, into scan
+// tables; p is the plan ScanPlan.Plan reports.
+func newScanPlan(p *Plan, tokens map[string]glushkov.Token) *ScanPlan {
+	order := make([]string, 0, len(tokens))
+	for kw := range tokens {
+		order = append(order, kw)
 	}
 	// Longest first (ties: lexicographic), so each bucket resolves prefix
 	// collisions the same way the serial engine's verifyAt does.
@@ -148,7 +157,7 @@ func NewScanPlanUnion(plans []*Plan) *ScanPlan {
 		}
 		return order[a] < order[b]
 	})
-	sp := &ScanPlan{plan: plans[0], count: len(order), keywords: order}
+	sp := &ScanPlan{plan: p, count: len(order), keywords: order}
 	sp.fp = FingerprintKeywords(order)
 	sp.memSize = 2 * 256 * 24 // the two bucket arrays (slice headers)
 	for i, kw := range order {
@@ -170,7 +179,36 @@ func NewScanPlanUnion(plans []*Plan) *ScanPlan {
 			sp.open[c] = append(sp.open[c], sk)
 		}
 	}
+	sp.nibbles = nibbleTables(&sp.open, &sp.closing)
+	sp.memSize += int64(len(sp.nibbles))
 	return sp
+}
+
+// nibbleTables derives the AVX2 anchor filter's lookup tables from the
+// bucket arrays, in the style of Hyperscan's Teddy: a byte b passes when
+// lo[b&15] & hi[b>>4] != 0, where hi[h] is the single bit h&7 and lo[l]
+// collects the bits of the high nibbles of every non-empty bucket with low
+// nibble l. The test is a superset of "bucket b is non-empty" (exact when
+// both b and the vocabulary are ASCII; a non-ASCII high nibble h aliases
+// h-8), so the filter can only let extra anchors through, never drop one
+// that has a keyword to verify. The layout is the one the kernel loads:
+// open lo, open hi, closing lo, closing hi, each 16-entry table repeated
+// for both 128-bit lanes of a YMM register.
+func nibbleTables(open, closing *[256][]scanKeyword) [128]byte {
+	var t [128]byte
+	for i, buckets := range []*[256][]scanKeyword{open, closing} {
+		lo, hi := t[64*i:64*i+32], t[64*i+32:64*i+64]
+		for b := 0; b < 256; b++ {
+			if len(buckets[b]) > 0 {
+				lo[b&15] |= 1 << (b >> 4 & 7)
+				lo[16+b&15] = lo[b&15]
+			}
+		}
+		for h := 0; h < 32; h++ {
+			hi[h] = 1 << (h & 7)
+		}
+	}
+	return t
 }
 
 // Plan returns the execution plan the scan tables were derived from (the
@@ -255,10 +293,13 @@ func (s *SegmentScanner) Counters() (m stringmatch.Counters, inspected, rejected
 // keyword without its terminator byte is invalid, a tag without '>' is the
 // "unexpected end of input inside tag" error.
 //
-// Scan runs the SWAR multi-anchor kernel (scan_swar.go) unless the
-// environment variable SMP_SCAN_KERNEL=scalar selects the byte-at-a-time
-// reference kernel. Both kernels produce identical candidate streams and
-// identical counters — ScanScalar is kept as the differential baseline.
+// Scan runs the fastest kernel the CPU supports: on amd64 with AVX2, BMI1
+// and POPCNT, the AVX2 anchor filter (scan_avx2_amd64.go) in front of the
+// SWAR verifier; everywhere else — other CPUs and architectures, and builds
+// with the purego tag — the SWAR multi-anchor kernel (scan_swar.go). The
+// environment variable SMP_SCAN_KERNEL=scalar pins the byte-at-a-time
+// reference kernel instead. All kernels produce identical candidate streams
+// and identical counters — ScanScalar is kept as the differential baseline.
 func (s *SegmentScanner) Scan(dst []Candidate, data []byte, base int64, owned int, final bool) []Candidate {
 	if owned > len(data) {
 		owned = len(data)
@@ -269,14 +310,29 @@ func (s *SegmentScanner) Scan(dst []Candidate, data []byte, base int64, owned in
 	if useScalarKernel {
 		return s.scanScalar(dst, data, base, owned, final)
 	}
+	if avx2Kernel {
+		return s.scanAVX2(dst, data, base, owned, final)
+	}
 	return s.scanSWAR(dst, data, base, owned, final)
+}
+
+// ScanKernel names the kernel Scan runs in this process: "avx2", "swar" or
+// "scalar". The choice is made once, from the CPU and SMP_SCAN_KERNEL.
+func ScanKernel() string {
+	switch {
+	case useScalarKernel:
+		return "scalar"
+	case avx2Kernel:
+		return "avx2"
+	}
+	return "swar"
 }
 
 // ScanScalar is Scan on the byte-at-a-time reference kernel —
 // bytes.IndexByte anchor hops and bytes.Equal verification — regardless of
-// the kernel selection. It is the differential baseline the SWAR kernel is
-// fuzzed and benchmarked against (FuzzScanEquivalence, smpbench -scan):
-// candidate streams and counters must be identical between the two.
+// the kernel selection. It is the differential baseline the SWAR and AVX2
+// kernels are fuzzed and benchmarked against (FuzzScanEquivalence,
+// smpbench -scan): candidate streams and counters must be identical.
 func (s *SegmentScanner) ScanScalar(dst []Candidate, data []byte, base int64, owned int, final bool) []Candidate {
 	if owned > len(data) {
 		owned = len(data)

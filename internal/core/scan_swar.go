@@ -18,9 +18,12 @@ import (
 //
 // The kernel is a drop-in replacement for the scalar reference
 // (scanScalar): it reports the same candidates in the same order with the
-// same counters. FuzzScanEquivalence and TestScanSWAREquivalence difference
-// the two candidate-for-candidate; SMP_SCAN_KERNEL=scalar selects the
-// reference kernel at run time (smpbench -scan reports both).
+// same counters. It is the portable kernel Scan runs wherever the AVX2
+// kernel (scan_avx2_amd64.go) does not, and the AVX2 kernel shares its
+// verifier, its tail loops and its counter flush (scanSWARFrom).
+// FuzzScanEquivalence and TestScanSWAREquivalence difference every kernel
+// against the reference candidate-for-candidate; SMP_SCAN_KERNEL=scalar
+// selects the reference kernel at run time (smpbench -scan reports both).
 
 const (
 	swarLo7 = 0x7F7F7F7F7F7F7F7F // low 7 bits of every byte lane
@@ -72,15 +75,21 @@ func zeroLanes(x uint64) uint64 {
 // Comparisons the anchor bytes themselves — so the two kernels stay
 // differenceable down to the instrumentation.
 func (s *SegmentScanner) scanSWAR(dst []Candidate, data []byte, base int64, owned int, final bool) []Candidate {
+	return s.scanSWARFrom(dst, data, base, owned, final, 0, 0, -1)
+}
+
+// scanSWARFrom runs the SWAR kernel over the owned bytes from offset w on,
+// continuing the anchor accounting of whatever scanned data[:w]: anchors is
+// the number of anchors seen so far and last the position of the latest (-1
+// for none). It flushes every counter once at the end, so a kernel that
+// hands its tail here (the AVX2 filter) shares the tail loops and the flush.
+func (s *SegmentScanner) scanSWARFrom(dst []Candidate, data []byte, base int64, owned int, final bool, w int, anchors int64, last int) []Candidate {
 	// The anchor counters are kept in locals and flushed once: per-anchor
 	// read-modify-writes on s.match would dominate the loop. Shifts and
 	// Comparisons both advance once per anchor, and the hop distances
 	// telescope — the sum of (pos-i+1) over all anchors is simply the last
 	// anchor position plus one.
-	anchors := int64(0)
-	inspected := int64(0)
-	last := -1
-	w := 0 // block cursor
+	//
 	// 64-byte blocks: eight independent load/compare chains packed into one
 	// per-block anchor bitmask (bit k = anchor at data[w+k]), so the only
 	// data-dependent branch is the anchor iteration itself — one short,
@@ -105,49 +114,14 @@ func (s *SegmentScanner) scanSWAR(dst []Candidate, data []byte, base int64, owne
 		last = w + 63 - bits.LeadingZeros64(m)
 		for ; m != 0; m &= m - 1 {
 			pos := w + bits.TrailingZeros64(m)
-			// Inline the probe — most anchors open tags outside the union
-			// vocabulary, and they should not pay a function call. pos+8 <=
-			// w+64+8; the boundary case defers to verifySWAR, which takes
-			// the scalar path there.
 			if pos+8 > len(data) {
-				if c, ok := s.verifySWAR(data, base, pos, final); ok {
-					dst = append(dst, c)
-				}
+				dst = s.verifySWAR(dst, data, base, pos, final)
 				continue
 			}
-			var bucket []scanKeyword
-			if c1 := data[pos+1]; c1 == '/' {
-				bucket = s.sp.closing[data[pos+2]]
-			} else {
-				bucket = s.sp.open[c1]
-			}
-			if len(bucket) == 0 {
-				continue
-			}
-			// Single-keyword buckets (the common shape) verify right here:
-			// one word load, one masked compare, no call unless the word
-			// matches. Counter parity with the scalar kernel: one inspected
-			// character for the probe, then len+1 for the keyword whenever
-			// its end is in view, match or not. Multi-keyword buckets take
-			// verifyBucket, which does its own counting.
-			if len(bucket) == 1 {
-				inspected++
-				kw := &bucket[0]
-				end := pos + len(kw.pattern)
-				if end >= len(data) {
-					continue
-				}
-				inspected += int64(len(kw.pattern)) + 1
-				if binary.LittleEndian.Uint64(data[pos:])&kw.mask != kw.word {
-					continue
-				}
-				if c, ok := s.acceptKeyword(kw, data, base, pos, end, final); ok {
-					dst = append(dst, c)
-				}
-				continue
-			}
-			if c, ok := s.verifyBucket(bucket, data, base, pos, final); ok {
-				dst = append(dst, c)
+			// Most anchors open tags outside the union vocabulary: their
+			// empty bucket is rejected here, without a call.
+			if bucket := s.bucket(data, pos); len(bucket) > 0 {
+				dst = s.verifyBucket(dst, bucket, data, base, pos, final)
 			}
 		}
 		w += 64
@@ -159,9 +133,7 @@ func (s *SegmentScanner) scanSWAR(dst []Candidate, data []byte, base int64, owne
 			m &= m - 1
 			anchors++
 			last = pos
-			if c, ok := s.verifySWAR(data, base, pos, final); ok {
-				dst = append(dst, c)
-			}
+			dst = s.verifySWAR(dst, data, base, pos, final)
 		}
 		w += 8
 	}
@@ -172,11 +144,8 @@ func (s *SegmentScanner) scanSWAR(dst []Candidate, data []byte, base int64, owne
 		}
 		anchors++
 		last = pos
-		if c, ok := s.verifySWAR(data, base, pos, final); ok {
-			dst = append(dst, c)
-		}
+		dst = s.verifySWAR(dst, data, base, pos, final)
 	}
-	s.inspected += inspected
 	if anchors > 0 {
 		s.match.Shifts += anchors
 		s.match.Comparisons += anchors
@@ -187,29 +156,42 @@ func (s *SegmentScanner) scanSWAR(dst []Candidate, data []byte, base int64, owne
 
 // verifySWAR resolves the unique keyword valid at the '<' anchor pos, like
 // verifyScalar but with one masked word compare per bucket entry instead of
-// a byte loop. Anchors within 8 bytes of the data end take the scalar path —
-// there a word load would read past the buffer.
-func (s *SegmentScanner) verifySWAR(data []byte, base int64, pos int, final bool) (Candidate, bool) {
+// a byte loop, and appends its candidate, if any, to dst. Anchors within 8
+// bytes of the data end take the scalar path — there a word load would read
+// past the buffer.
+func (s *SegmentScanner) verifySWAR(dst []Candidate, data []byte, base int64, pos int, final bool) []Candidate {
 	if pos+8 > len(data) {
-		return s.verifyScalar(data, base, pos, final)
+		if c, ok := s.verifyScalar(data, base, pos, final); ok {
+			dst = append(dst, c)
+		}
+		return dst
 	}
-	var bucket []scanKeyword
-	if data[pos+1] == '/' {
-		bucket = s.sp.closing[data[pos+2]]
-	} else {
-		bucket = s.sp.open[data[pos+1]]
-	}
+	bucket := s.bucket(data, pos)
 	if len(bucket) == 0 {
-		return Candidate{}, false
+		return dst
 	}
-	return s.verifyBucket(bucket, data, base, pos, final)
+	return s.verifyBucket(dst, bucket, data, base, pos, final)
 }
 
-// verifyBucket runs the masked word compares for a non-empty bucket; the
-// caller has already ruled out the near-end boundary (pos+8 <= len(data)).
-func (s *SegmentScanner) verifyBucket(bucket []scanKeyword, data []byte, base int64, pos int, final bool) (Candidate, bool) {
+// bucket returns the keywords that can start at the '<' anchor pos: the
+// opening keywords indexed by the byte after the '<', or after "</" the
+// closing keywords indexed by the byte after the slash. pos+2 must be in
+// data.
+func (s *SegmentScanner) bucket(data []byte, pos int) []scanKeyword {
+	if c1 := data[pos+1]; c1 != '/' {
+		return s.sp.open[c1]
+	}
+	return s.sp.closing[data[pos+2]]
+}
+
+// verifyBucket runs the masked word compares for a non-empty bucket and
+// appends the candidate, if any, to dst; the caller has already ruled out
+// the near-end boundary (pos+8 <= len(data)). One inspected character for
+// the probe, then len+1 for each keyword whose end is in view, match or not.
+func (s *SegmentScanner) verifyBucket(dst []Candidate, bucket []scanKeyword, data []byte, base int64, pos int, final bool) []Candidate {
 	s.inspected++
 	load := binary.LittleEndian.Uint64(data[pos:])
+	var ok bool
 	for k := range bucket {
 		kw := &bucket[k]
 		end := pos + len(kw.pattern)
@@ -220,34 +202,39 @@ func (s *SegmentScanner) verifyBucket(bucket []scanKeyword, data []byte, base in
 		if load&kw.mask != kw.word {
 			continue
 		}
-		if c, ok := s.acceptKeyword(kw, data, base, pos, end, final); ok {
-			return c, true
+		if dst, ok = s.acceptKeyword(dst, kw, data, base, pos, end, final); ok {
+			return dst
 		}
 	}
-	return Candidate{}, false
+	return dst
 }
 
 // acceptKeyword finishes a keyword whose first word already matched: the
 // tail compare for patterns longer than the word, the terminator check, and
-// the tag-end resolution. A terminator failure counts as rejected; either
-// failure leaves the bucket loop free to try the next keyword.
-func (s *SegmentScanner) acceptKeyword(kw *scanKeyword, data []byte, base int64, pos, end int, final bool) (Candidate, bool) {
+// the tag-end resolution. It appends the candidate to dst and reports
+// whether it did. A terminator failure counts as rejected; either failure
+// leaves the bucket loop free to try the next keyword.
+func (s *SegmentScanner) acceptKeyword(dst []Candidate, kw *scanKeyword, data []byte, base int64, pos, end int, final bool) ([]Candidate, bool) {
 	if len(kw.pattern) > 8 && !bytes.Equal(data[pos+8:end], kw.pattern[8:]) {
-		return Candidate{}, false
+		return dst, false
 	}
 	if kw.token.Close {
 		if !closeTerm[data[end]] {
 			s.rejected++
-			return Candidate{}, false
+			return dst, false
 		}
 	} else if !openTerm[data[end]] {
 		s.rejected++
-		return Candidate{}, false
+		return dst, false
 	}
-	c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token, Kw: kw.id}
-	s.scanTagEnd(data, base, pos, end, final, &c)
+	// The candidate is built in place: a 72-byte Candidate assembled on the
+	// stack and copied into dst costs more than the rest of the probe.
+	dst = append(dst, Candidate{})
+	c := &dst[len(dst)-1]
+	c.Pos, c.KwLen, c.Token, c.Kw = base+int64(pos), len(kw.pattern), kw.token, kw.id
+	s.scanTagEnd(data, base, pos, end, final, c)
 	if c.Token.Close {
 		c.Bachelor = false
 	}
-	return c, true
+	return dst, true
 }

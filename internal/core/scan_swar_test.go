@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -37,48 +38,64 @@ func makeScanPlan(t testing.TB, dtdSrc string, specs ...string) *ScanPlan {
 	return NewScanPlanUnion(plans)
 }
 
-// diffKernels scans data with both kernels and fails the test on any
-// difference in the candidate stream or the counters. It returns the SWAR
-// candidates for additional assertions.
-func diffKernels(t testing.TB, sp *ScanPlan, data []byte, base int64, owned int, final bool) []Candidate {
-	t.Helper()
-	swar := sp.NewScanner()
-	scalar := sp.NewScanner()
-	got := swar.scanSWAR(nil, data, base, owned, final)
-	want := scalar.scanScalar(nil, data, base, owned, final)
-	if len(got) != len(want) {
-		t.Fatalf("owned=%d final=%v: SWAR found %d candidates, scalar %d\ninput: %q\nswar:   %+v\nscalar: %+v",
-			owned, final, len(got), len(want), clip(data), got, want)
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		// Errors are compared by message: the constructors build fresh values.
-		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token || g.Kw != w.Kw ||
-			g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || g.Complete != w.Complete ||
-			fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
-			t.Fatalf("owned=%d final=%v: candidate %d differs\nswar:   %+v\nscalar: %+v\ninput: %q",
-				owned, final, i, g, w, clip(data))
-		}
-		// Kw must index the producing plan's canonical keyword list at the
-		// candidate's own keyword.
-		if kw := sp.Keywords()[g.Kw]; kw != g.Token.Keyword() {
-			t.Fatalf("candidate %d at %d: Keywords()[Kw=%d] = %q, want %q", i, g.Pos, g.Kw, kw, g.Token.Keyword())
-		}
-	}
-	gm, gi, gr := swar.Counters()
-	wm, wi, wr := scalar.Counters()
-	if gm != wm || gi != wi || gr != wr {
-		t.Fatalf("owned=%d final=%v: counters differ: SWAR (%+v, %d, %d) vs scalar (%+v, %d, %d)\ninput: %q",
-			owned, final, gm, gi, gr, wm, wi, wr, clip(data))
-	}
-	return got
+// scanKernel is one kernel's entry point, for the differential tests.
+type scanKernel struct {
+	name string
+	scan func(s *SegmentScanner, dst []Candidate, data []byte, base int64, owned int, final bool) []Candidate
 }
 
-func clip(data []byte) string {
-	if len(data) > 256 {
-		return string(data[:256]) + "..."
+// fastKernels are the kernels diffKernels holds to the scalar reference:
+// SWAR everywhere, and the AVX2 kernel where the CPU runs it
+// (scan_avx2_amd64_test.go adds it).
+var fastKernels = []scanKernel{{"swar", (*SegmentScanner).scanSWAR}}
+
+// diffKernels scans data with the scalar reference and with every fast
+// kernel, and fails the test on any difference in the candidate stream or
+// the counters. It returns the candidates for additional assertions.
+func diffKernels(t testing.TB, sp *ScanPlan, data []byte, base int64, owned int, final bool) []Candidate {
+	t.Helper()
+	scalar := sp.NewScanner()
+	want := scalar.scanScalar(nil, data, base, owned, final)
+	wm, wi, wr := scalar.Counters()
+	for i, c := range want {
+		// Kw must index the producing plan's canonical keyword list at the
+		// candidate's own keyword.
+		if kw := sp.Keywords()[c.Kw]; kw != c.Token.Keyword() {
+			t.Fatalf("candidate %d at %d: Keywords()[Kw=%d] = %q, want %q", i, c.Pos, c.Kw, kw, c.Token.Keyword())
+		}
 	}
-	return string(data)
+	for _, k := range fastKernels {
+		fast := sp.NewScanner()
+		got := k.scan(fast, nil, data, base, owned, final)
+		if len(got) != len(want) {
+			t.Fatalf("owned=%d final=%v: %s found %d candidates, scalar %d\ninput: %q\n%s: %+v\nscalar: %+v",
+				owned, final, k.name, len(got), len(want), clip(data), k.name, clip(got), clip(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			// Errors are compared by message: the constructors build fresh values.
+			if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token || g.Kw != w.Kw ||
+				g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || g.Complete != w.Complete ||
+				fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+				t.Fatalf("owned=%d final=%v: candidate %d differs\n%s: %+v\nscalar: %+v\ninput: %q",
+					owned, final, i, k.name, g, w, clip(data))
+			}
+		}
+		gm, gi, gr := fast.Counters()
+		if gm != wm || gi != wi || gr != wr {
+			t.Fatalf("owned=%d final=%v: counters differ: %s (%+v, %d, %d) vs scalar (%+v, %d, %d)\ninput: %q",
+				owned, final, k.name, gm, gi, gr, wm, wi, wr, clip(data))
+		}
+	}
+	return want
+}
+
+// clip shortens long inputs and candidate lists in failure messages.
+func clip[E any, S ~[]E](s S) S {
+	if len(s) > 256 {
+		return s[:256]
+	}
+	return s
 }
 
 func TestScanSWAREquivalence(t *testing.T) {
@@ -185,19 +202,15 @@ func FuzzScanEquivalence(f *testing.F) {
 
 // BenchmarkScanKernel measures raw scan-kernel throughput (candidate
 // discovery only, no automaton replay) on generated XMark data, one
-// sub-benchmark per kernel. smpbench -scan reports the same comparison on
-// full-size inputs alongside the memchr bandwidth reference.
+// sub-benchmark per kernel this CPU runs. smpbench -scan reports the same
+// comparison on full-size inputs alongside the memchr bandwidth reference.
 func BenchmarkScanKernel(b *testing.B) {
 	doc := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: 4 << 20, Seed: 7})
 	sp := makeScanPlan(b, xmlgen.XMarkDTD(), "/*, //australia//description#")
-	kernels := []struct {
-		name string
-		scan func(s *SegmentScanner, dst []Candidate, data []byte, base int64, owned int, final bool) []Candidate
-	}{
-		{"swar", (*SegmentScanner).scanSWAR},
-		{"scalar", (*SegmentScanner).scanScalar},
-	}
-	for _, k := range kernels {
+	for _, k := range slices.Concat(fastKernels, []scanKernel{{"scalar", (*SegmentScanner).scanScalar}}) {
+		if strings.Contains(k.name, "/") {
+			continue // a test-only variant of a kernel (avx2/span200)
+		}
 		b.Run(k.name, func(b *testing.B) {
 			s := sp.NewScanner()
 			var dst []Candidate

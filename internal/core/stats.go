@@ -71,8 +71,9 @@ type Stats struct {
 	// staged runs; StitchDuration is only measured when a trace is attached
 	// (per-write clock reads are not free), and ReplayDuration is the
 	// remainder — so without a trace it also absorbs the stitch time.
-	// Serial-core runs (single query, no trace, no workers) bypass the
-	// staged driver entirely and leave all three zero.
+	// Every production projection is staged, single queries included; only
+	// the paper's serial engine in this package (the §V reproduction and
+	// the test oracle) leaves all three zero.
 	ScanDuration   time.Duration
 	ReplayDuration time.Duration
 	StitchDuration time.Duration

@@ -175,9 +175,14 @@ func characteristicsTable(cfg Config, w workload, title, paperNote string) (*sta
 	return t, nil
 }
 
+// tableIIIPasses is the number of alternating passes TableIII times per
+// projector; it reports the fastest of each.
+const tableIIIPasses = 3
+
 // TableIII reproduces the paper's Table III: SMP against a projector of the
 // type-based-projection class (full tokenization of the input), on the
-// subset of queries benchmarked in the paper (XM3, XM6, XM7, XM19).
+// subset of queries benchmarked in the paper (XM3, XM6, XM7, XM19). Each
+// projector's time is the minimum over tableIIIPasses alternating passes.
 func TableIII(cfg Config) (*stats.Table, error) {
 	cfg = cfg.withDefaults()
 	w := xmarkWorkload(cfg)
@@ -194,17 +199,31 @@ func TableIII(cfg Config) (*stats.Table, error) {
 		}
 		set := paths.MustParseSet(q.Paths)
 
-		baseTimer := stats.StartTimer()
-		proj := projection.New(set, projection.Options{})
-		baseOut, _, err := proj.ProjectBytes(w.doc)
-		if err != nil {
-			return nil, fmt.Errorf("%s baseline: %w", id, err)
-		}
-		baseElapsed := baseTimer.Elapsed()
+		// Alternating passes, best of each: one pass of a sub-millisecond
+		// run can land on a GC pause or a preemption and invert the
+		// comparison.
+		var baseOut []byte
+		var baseElapsed time.Duration
+		var res runResult
+		for pass := 0; pass < tableIIIPasses; pass++ {
+			baseTimer := stats.StartTimer()
+			proj := projection.New(set, projection.Options{})
+			out, _, err := proj.ProjectBytes(w.doc)
+			if err != nil {
+				return nil, fmt.Errorf("%s baseline: %w", id, err)
+			}
+			if d := baseTimer.Elapsed(); pass == 0 || d < baseElapsed {
+				baseElapsed = d
+			}
+			baseOut = out
 
-		res, err := runOne(w, q, compile.Options{}, core.Options{})
-		if err != nil {
-			return nil, err
+			r, err := runOne(w, q, compile.Options{}, core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			if pass == 0 || r.Run < res.Run {
+				res = r
+			}
 		}
 		t.AddRow(
 			id,
@@ -219,6 +238,7 @@ func TableIII(cfg Config) (*stats.Table, error) {
 	}
 	t.AddNote("%s", "paper (1GB XMark, OCaml TBP vs C++ SMP): Usr+Sys 757-1170s vs 5.4-9.8s (factor 84-145); comparable projection sizes")
 	t.AddNote("%s", "the Go baseline here is our own tokenizing projector, so the language gap of the paper does not apply; the shape to check is a large constant-factor CPU advantage for SMP")
+	t.AddNote("times are the best of %d alternating passes of each projector", tableIIIPasses)
 	return t, nil
 }
 
