@@ -311,8 +311,9 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 			label, input = "uncoalesced", "nocoalesce"
 		} else if res.batched == 0 && scfg.dupRatio > 0 && scfg.conns > 1 {
 			// The server never actually batched: either coalescing is off
-			// server-side or the window is too small for this machine. The
-			// phase label says so rather than implying a no-op speedup.
+			// server-side or no request arrived while a pass for its
+			// document was in flight. The phase label says so rather than
+			// implying a no-op speedup.
 			label = "coalesced (no batches!)"
 		}
 		mbps := float64(res.docBytes) / (1 << 20) / res.elapsed.Seconds()

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"smp"
 	"smp/internal/mmapio"
@@ -17,11 +16,13 @@ import (
 // The coalescer manufactures the multi-query batching that /multiproject
 // asks clients to do by hand: concurrent /project requests that target the
 // same document — identified by content hash, so identity survives
-// re-uploads, cache references and docroot files alike — are held in a
-// small time/size-bounded window and served by ONE MultiProject pass. The
-// paper's reduction makes the scan the dominant cost and the scan is
-// shareable across queries (PR 5), so K uncoordinated requests for one hot
-// document cost one scan plus K sparse replays instead of K scans.
+// re-uploads, cache references and docroot files alike — are served by ONE
+// MultiProject pass. The paper's reduction makes the scan the dominant cost
+// and the scan is shareable across queries (smp.MultiPrefilter), so K
+// uncoordinated requests for one hot document cost one scan plus K sparse
+// replays instead of K scans. Batches form by group commit: a request whose
+// key has no pass in flight starts one at once, and requests arriving during
+// a pass join the batch the ending pass fires next.
 //
 // Correctness contract, inherited from MultiProject: every coalesced
 // response is byte-identical to the response an uncoalesced run would have
@@ -32,26 +33,23 @@ import (
 // coalescer groups concurrent same-document requests into batches.
 type coalescer struct {
 	srv      *server
-	window   time.Duration // how long the first arrival waits for company
-	maxBatch int           // batch fires early at this many requests
+	maxBatch int // a pending batch fires early, beside the running pass, at this many requests
 
 	mu      sync.Mutex
-	pending map[string]*coalesceBatch // key: dtdSource \x00 docHash
+	pending map[string]*coalesceBatch // key: dtdSource \x00 docHash; batches waiting for a pass to end
+	running map[string]int            // passes in flight per key
+
+	// beforePass, set only by tests, runs on the batch goroutine once a
+	// pass is in flight (cancellable, about to scan), so a test can hold it.
+	beforePass func(*coalesceBatch)
 }
 
-func newCoalescer(srv *server, window time.Duration, maxBatch int) *coalescer {
+func newCoalescer(srv *server, maxBatch int) *coalescer {
 	if maxBatch < 2 {
 		maxBatch = 2
 	}
-	return &coalescer{
-		srv:      srv,
-		window:   window,
-		maxBatch: maxBatch,
-		pending:  make(map[string]*coalesceBatch),
-	}
+	return &coalescer{srv: srv, maxBatch: maxBatch, pending: make(map[string]*coalesceBatch), running: make(map[string]int)}
 }
-
-func (c *coalescer) enabled() bool { return c != nil && c.window > 0 }
 
 // heldDoc is a document pinned in memory for the duration of a batch: body
 // bytes under an admission reservation, a refcounted document-cache entry,
@@ -86,33 +84,32 @@ type queryResult struct {
 	badRequest bool // compile/spec failure → 400, not 422
 }
 
-// coalesceBatch is one window of same-document requests.
+// coalesceBatch is one group of same-document requests.
 type coalesceBatch struct {
 	key       string
 	dtdSource string
 	doc       *heldDoc
 
-	mu      sync.Mutex
-	specs   []string // one element per waiter, in arrival order
-	labels  map[string]string
-	live    int                // waiters still wanting the result
-	cancel  context.CancelFunc // set once the run starts
-	started bool
+	mu     sync.Mutex
+	specs  []string // one element per waiter, in arrival order
+	labels map[string]string
+	live   int                // waiters still wanting the result
+	cancel context.CancelFunc // set once the run starts
 
 	done    chan struct{} // closed when results is complete
 	results map[string]*queryResult
 	size    int // final batch size, set before done closes
 }
 
-// join adds a request to the batch for (dtdSource, doc.hash), creating the
-// batch — and scheduling its window — on first arrival. The batch takes
-// ownership of doc if it is the first to bring it; otherwise doc is
-// released immediately (its bytes are identical by hash). When the join
-// fills the batch to maxBatch, it fires early on the caller's goroutine —
-// the caller would only block on the result anyway.
+// join adds a request to its key's pending batch, creating the batch on
+// first arrival. The batch takes ownership of doc if it is the first to
+// bring it; otherwise doc is released immediately (its bytes are identical
+// by hash). The batch fires at once when no pass for the key is in flight
+// or when the join fills it to maxBatch.
 func (c *coalescer) join(dtdSource string, doc *heldDoc, spec, label string) *coalesceBatch {
 	key := dtdSource + "\x00" + doc.hash
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	b := c.pending[key]
 	if b == nil {
 		b = &coalesceBatch{
@@ -124,7 +121,6 @@ func (c *coalescer) join(dtdSource string, doc *heldDoc, spec, label string) *co
 			results:   make(map[string]*queryResult),
 		}
 		c.pending[key] = b
-		time.AfterFunc(c.window, func() { c.fire(b) })
 	} else {
 		doc.release()
 	}
@@ -136,26 +132,30 @@ func (c *coalescer) join(dtdSource string, doc *heldDoc, spec, label string) *co
 	b.live++
 	full := len(b.specs) >= c.maxBatch
 	b.mu.Unlock()
-	c.mu.Unlock()
-	if full {
-		c.fire(b)
+	if c.running[key] == 0 || full {
+		delete(c.pending, key)
+		c.running[key]++
+		go c.fire(b) // on a batch goroutine: every waiter keeps its select
 	}
 	return b
 }
 
-// fire detaches the batch from the pending map (later arrivals start a
-// fresh batch) and runs it. The timer and an early fill can race here; the
-// pending-map delete under the coalescer lock elects exactly one runner.
+// fire runs b and then, for as long as a batch formed behind the pass just
+// ended, that batch too: the ending pass commits the next group.
 func (c *coalescer) fire(b *coalesceBatch) {
-	c.mu.Lock()
-	cur, ok := c.pending[b.key]
-	if !ok || cur != b {
+	for b != nil {
+		c.run(b)
+		c.mu.Lock()
+		next := c.pending[b.key]
+		delete(c.pending, b.key)
+		if next == nil {
+			if c.running[b.key]--; c.running[b.key] == 0 {
+				delete(c.running, b.key)
+			}
+		}
 		c.mu.Unlock()
-		return // already fired (or superseded by a fresh batch)
+		b = next
 	}
-	delete(c.pending, b.key)
-	c.mu.Unlock()
-	c.run(b)
 }
 
 // abandon drops one waiter. When the last waiter is gone the batch run is
@@ -186,18 +186,20 @@ func (c *coalescer) run(b *coalesceBatch) {
 	b.mu.Lock()
 	b.size = len(b.specs)
 	if b.live == 0 {
-		// Every waiter disconnected before the window fired: record the
-		// batch but skip the scan.
+		// Every waiter disconnected while the batch was pending: record
+		// the batch but skip the scan.
 		b.mu.Unlock()
 		c.account(b.size, smp.Stats{})
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	b.cancel = cancel
-	b.started = true
 	specs := b.specs
 	b.mu.Unlock()
 	defer cancel()
+	if c.beforePass != nil {
+		c.beforePass(b)
+	}
 
 	// Distinct specs, in first-arrival order. Requests naming the same
 	// canonical spec share one query slot and one output buffer.

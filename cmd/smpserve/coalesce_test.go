@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,13 +23,12 @@ import (
 )
 
 // coalescingServer builds a test server with the coalescer, the document
-// cache and the admission budget all enabled. The window is generous (the
-// tests synchronize on concurrency, not on wall-clock) and fires early at
+// cache and the admission budget all enabled; a pending batch fires early at
 // maxBatch.
-func coalescingServer(t *testing.T, window time.Duration, maxBatch int) (*server, *httptest.Server) {
+func coalescingServer(t *testing.T, maxBatch int) (*server, *httptest.Server) {
 	t.Helper()
 	srv := newServer(16, 0, smp.Options{})
-	srv.coal = newCoalescer(srv, window, maxBatch)
+	srv.coal = newCoalescer(srv, maxBatch)
 	srv.docs = newDocCache(t.TempDir(), 64<<20)
 	srv.adm.max = 64 << 20
 	ts := httptest.NewServer(srv.routes())
@@ -63,20 +63,114 @@ func doProject(t *testing.T, ts *httptest.Server, spec, extra, body string) (*ht
 	return resp, out
 }
 
-// TestCoalescingByteIdentity launches a burst of concurrent requests for
-// the same document body and checks that (a) they were actually coalesced
-// into shared batches and (b) every response is byte-identical to the
-// standalone Project output for its path set — the core contract.
-func TestCoalescingByteIdentity(t *testing.T) {
-	srv, ts := coalescingServer(t, 50*time.Millisecond, 64)
+// projectResult is the outcome of a /project request sent by startProject.
+type projectResult struct {
+	code  int
+	batch string // X-SMP-Coalesced-Batch
+	body  string
+	err   error // transport error (e.g. the client cancelled)
+}
 
-	specs := []string{
-		"/*, //australia//name#",
-		"//item/description#",
-		"/*, //australia//name#", // duplicate of spec 0: shares a query slot
-		"//regions//location#",
+// startProject sends a /project request on its own goroutine and delivers
+// the outcome on the returned channel; it never calls t.Fatal, so it is safe
+// off the test goroutine.
+func startProject(ctx context.Context, ts *httptest.Server, spec, body string) <-chan projectResult {
+	res := make(chan projectResult, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, projectURL(ts, spec, ""), strings.NewReader(body))
+		if err != nil {
+			res <- projectResult{err: err}
+			return
+		}
+		req.Header.Set("X-SMP-DTD", url.PathEscape(auctionDTD))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			res <- projectResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		res <- projectResult{resp.StatusCode, resp.Header.Get("X-SMP-Coalesced-Batch"), string(out), err}
+	}()
+	return res
+}
+
+// await receives a startProject outcome, failing t if none arrives in time.
+func await(t *testing.T, res <-chan projectResult) projectResult {
+	t.Helper()
+	select {
+	case r := <-res:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a /project response")
+		return projectResult{}
 	}
-	// Reference outputs via the standalone library path.
+}
+
+// passGate holds the coalescer's passes in flight: every pass reports its
+// batch on started and then blocks until release frees all passes, held
+// and future. The tests line requests up against a held pass instead of
+// against wall-clock timing.
+type passGate struct {
+	started chan *coalesceBatch
+	proceed chan struct{}
+	once    sync.Once
+}
+
+func holdPasses(t *testing.T, srv *server) *passGate {
+	// started holds more passes than any test starts, so reporting a pass
+	// never blocks the pass itself.
+	g := &passGate{started: make(chan *coalesceBatch, 64), proceed: make(chan struct{})}
+	srv.coal.beforePass = func(b *coalesceBatch) {
+		g.started <- b
+		<-g.proceed
+	}
+	// Registered after the server's own cleanup, so it runs first: a pass a
+	// failed test left held cannot block the server shutdown.
+	t.Cleanup(g.release)
+	return g
+}
+
+func (g *passGate) release() { g.once.Do(func() { close(g.proceed) }) }
+
+// next returns the batch of the next pass to start.
+func (g *passGate) next(t *testing.T) *coalesceBatch {
+	t.Helper()
+	select {
+	case b := <-g.started:
+		return b
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a coalesced pass to start")
+		return nil
+	}
+}
+
+// pendingWaiters reports how many requests joined the batches waiting
+// behind in-flight passes, and how many of them still wait.
+func pendingWaiters(c *coalescer) (joined, live int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, b := range c.pending {
+		b.mu.Lock()
+		joined, live = joined+len(b.specs), live+b.live
+		b.mu.Unlock()
+	}
+	return joined, live
+}
+
+// waitJoined waits until n requests wait in pending batches.
+func waitJoined(t *testing.T, c *coalescer, n int) {
+	t.Helper()
+	waitFor(t, strconv.Itoa(n)+" requests to join a pending batch", func() bool {
+		joined, _ := pendingWaiters(c)
+		return joined == n
+	})
+}
+
+// referenceOutputs projects doc through the standalone library path once
+// per spec: the bytes every coalesced response must reproduce.
+func referenceOutputs(t *testing.T, doc string, specs ...string) map[string]string {
+	t.Helper()
 	want := make(map[string]string)
 	for _, spec := range specs {
 		pf, err := smp.Compile(auctionDTD, spec, smp.Options{})
@@ -84,43 +178,112 @@ func TestCoalescingByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := pf.Project(context.Background(), &buf, strings.NewReader(auctionDoc)); err != nil {
+		if _, err := pf.Project(context.Background(), &buf, strings.NewReader(doc)); err != nil {
 			t.Fatal(err)
 		}
 		want[spec] = buf.String()
 	}
+	return want
+}
 
+// checkResult fails t unless r is a 200 carrying want in a batch of size
+// batch.
+func checkResult(t *testing.T, what string, r projectResult, batch int, want string) {
+	t.Helper()
+	switch {
+	case r.err != nil:
+		t.Errorf("%s: %v", what, r.err)
+	case r.code != http.StatusOK:
+		t.Errorf("%s: status %d: %s", what, r.code, r.body)
+	case r.batch != strconv.Itoa(batch):
+		t.Errorf("%s: X-SMP-Coalesced-Batch %q, want %d", what, r.batch, batch)
+	case r.body != want:
+		t.Errorf("%s: coalesced output diverges:\n got %q\nwant %q", what, r.body, want)
+	}
+}
+
+// keyCount reports how many keys have group-commit state: a pass in flight
+// or a batch pending.
+func keyCount(c *coalescer) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending) + len(c.running)
+}
+
+// TestGroupCommitLoneRequest checks that a request with no company runs at
+// once as a batch of one, and leaves no key state behind: there is no timer
+// to wait out and nothing to clean up.
+func TestGroupCommitLoneRequest(t *testing.T) {
+	srv, ts := coalescingServer(t, 64)
+	var passes []int
+	var mu sync.Mutex
+	srv.coal.beforePass = func(b *coalesceBatch) {
+		mu.Lock()
+		passes = append(passes, b.size)
+		mu.Unlock()
+	}
+	spec := "/*, //australia//name#"
+	want := referenceOutputs(t, auctionDoc, spec)
+	for round := 0; round < 3; round++ {
+		r := await(t, startProject(context.Background(), ts, spec, auctionDoc))
+		checkResult(t, "lone request", r, 1, want[spec])
+		// The batch goroutine drops the key state just after it delivers.
+		waitFor(t, "the key state to go after round "+strconv.Itoa(round), func() bool { return keyCount(srv.coal) == 0 })
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(passes) != "[1 1 1]" {
+		t.Errorf("pass sizes %v, want three passes of one request", passes)
+	}
+}
+
+// TestCoalescingByteIdentity lines a burst of same-document requests up
+// behind a held pass and checks that (a) they share exactly one follow-up
+// pass — X-SMP-Coalesced-Batch: N on every response — and (b) every response
+// is byte-identical to the standalone Project output for its path set: the
+// core contract.
+func TestCoalescingByteIdentity(t *testing.T) {
+	srv, ts := coalescingServer(t, 64)
+	gate := holdPasses(t, srv)
+	specs := []string{
+		"/*, //australia//name#",
+		"//item/description#",
+		"/*, //australia//name#", // duplicate of spec 0: shares a query slot
+		"//regions//location#",
+	}
+	want := referenceOutputs(t, auctionDoc, specs...)
+
+	holder := startProject(context.Background(), ts, specs[1], auctionDoc)
+	if b := gate.next(t); b.size != 1 {
+		t.Fatalf("first pass has %d requests, want 1", b.size)
+	}
 	const perSpec = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, len(specs)*perSpec)
+	n := len(specs) * perSpec
+	var results []<-chan projectResult
 	for _, spec := range specs {
 		for i := 0; i < perSpec; i++ {
-			wg.Add(1)
-			go func(spec string) {
-				defer wg.Done()
-				resp, out := doProject(t, ts, spec, "", auctionDoc)
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("spec %q: status %d: %s", spec, resp.StatusCode, out)
-					return
-				}
-				if string(out) != want[spec] {
-					errs <- fmt.Errorf("spec %q: coalesced output diverges:\n got %q\nwant %q", spec, out, want[spec])
-				}
-			}(spec)
+			results = append(results, startProject(context.Background(), ts, spec, auctionDoc))
 		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	waitJoined(t, srv.coal, n)
+	gate.release()
+
+	checkResult(t, "held request", await(t, holder), 1, want[specs[1]])
+	for i, res := range results {
+		spec := specs[i/perSpec]
+		checkResult(t, "spec "+spec, await(t, res), n, want[spec])
+	}
+	if b := gate.next(t); b.size != n {
+		t.Errorf("follow-up pass has %d requests, want %d", b.size, n)
+	}
+	if extra := len(gate.started); extra != 0 {
+		t.Errorf("%d passes beyond the held one and its follow-up", extra)
 	}
 
+	waitFor(t, "every request to commit", func() bool { return srv.metrics.snapshot().Requests == int64(n+1) })
 	c := srv.metrics.snapshot()
-	if c.CoalesceBatches == 0 {
-		t.Fatal("no coalesce batches ran")
-	}
-	if c.CoalescedRequests == 0 {
-		t.Error("no request was marked coalesced despite the concurrent burst")
+	if c.CoalesceBatches != 2 || c.CoalescedRequests != int64(n) {
+		t.Errorf("coalesce_batches %d, coalesced_requests %d; want 2 and %d", c.CoalesceBatches, c.CoalescedRequests, n)
 	}
 	var histSum int64
 	for _, n := range c.BatchHist {
@@ -129,12 +292,46 @@ func TestCoalescingByteIdentity(t *testing.T) {
 	if histSum != c.CoalesceBatches {
 		t.Errorf("batch histogram sums to %d, want CoalesceBatches = %d", histSum, c.CoalesceBatches)
 	}
+	waitFor(t, "the key state to go", func() bool { return keyCount(srv.coal) == 0 })
+}
+
+// TestGroupCommitMaxBatchFiresBeside fills the pending batch to -coalescemax
+// while the first pass is held: the full batch starts a second pass beside
+// it instead of waiting.
+func TestGroupCommitMaxBatchFiresBeside(t *testing.T) {
+	const maxBatch = 4
+	srv, ts := coalescingServer(t, maxBatch)
+	gate := holdPasses(t, srv)
+	spec := "//item/description#"
+	want := referenceOutputs(t, auctionDoc, spec)
+
+	holder := startProject(context.Background(), ts, spec, auctionDoc)
+	first := gate.next(t)
+	var results []<-chan projectResult
+	for i := 0; i < maxBatch; i++ {
+		results = append(results, startProject(context.Background(), ts, spec, auctionDoc))
+	}
+	second := gate.next(t) // starts while first is still held
+	if first.size != 1 || second.size != maxBatch {
+		t.Errorf("pass sizes %d and %d, want 1 and %d", first.size, second.size, maxBatch)
+	}
+	srv.coal.mu.Lock()
+	running, pending := srv.coal.running[first.key], srv.coal.pending[first.key]
+	srv.coal.mu.Unlock()
+	if running != 2 || pending != nil {
+		t.Errorf("key state running=%d pending=%v, want two passes and no pending batch", running, pending)
+	}
+	gate.release()
+	checkResult(t, "held request", await(t, holder), 1, want[spec])
+	for _, res := range results {
+		checkResult(t, "full batch", await(t, res), maxBatch, want[spec])
+	}
 }
 
 // TestCoalescingOptOut checks that ?coalesce=off bypasses the coalescer —
 // the knob the load harness uses to compare on/off against one server.
 func TestCoalescingOptOut(t *testing.T) {
-	srv, ts := coalescingServer(t, 50*time.Millisecond, 64)
+	srv, ts := coalescingServer(t, 64)
 	resp, out := doProject(t, ts, "/*, //australia//name#", "coalesce=off", auctionDoc)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
@@ -147,104 +344,111 @@ func TestCoalescingOptOut(t *testing.T) {
 	}
 }
 
-// TestCoalescedErrorIsolation runs a syntactically-broken request (its
-// spec does not parse) concurrently with a healthy same-document request:
-// the broken one gets its clean 400, the healthy one gets its bytes. A
-// non-conforming document, in turn, fails its own batch with a clean 422
-// (buffered outputs — no mid-stream connection cut) without disturbing
-// batches for other documents.
+// TestCoalescedErrorIsolation sends a syntactically-broken request (its
+// spec does not parse) while a healthy same-document request waits behind a
+// held pass: the broken one gets its clean 400, the healthy one gets its
+// bytes. A non-conforming document, in turn, is its own key and its own
+// pass, answered cleanly without disturbing the other document's batches.
 func TestCoalescedErrorIsolation(t *testing.T) {
-	_, ts := coalescingServer(t, 100*time.Millisecond, 64)
+	srv, ts := coalescingServer(t, 64)
+	gate := holdPasses(t, srv)
+	spec := "/*, //australia//name#"
+	want := referenceOutputs(t, auctionDoc, spec)
 
-	var wg sync.WaitGroup
-	type result struct {
-		code int
-		body string
+	holder := startProject(context.Background(), ts, spec, auctionDoc)
+	gate.next(t)
+	healthy := startProject(context.Background(), ts, spec, auctionDoc)
+	broken := await(t, startProject(context.Background(), ts, "//item[", auctionDoc))
+	if broken.code != http.StatusBadRequest {
+		t.Errorf("unparseable spec got status %d, want 400", broken.code)
 	}
-	results := make([]result, 3)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		resp, out := doProject(t, ts, "/*, //australia//name#", "", auctionDoc)
-		results[0] = result{resp.StatusCode, string(out)}
-	}()
-	go func() {
-		defer wg.Done()
-		resp, out := doProject(t, ts, "//item[", "", auctionDoc)
-		results[1] = result{resp.StatusCode, string(out)}
-	}()
-	go func() {
-		defer wg.Done()
-		// A document that does not conform to the DTD: the prefilter is
-		// content-lenient (it filters, it does not validate), so this is a
-		// clean 200 with an empty projection — identical to the standalone
-		// path — not a failure that could poison the batch.
-		resp, out := doProject(t, ts, "//item/description#", "", "<bogus><not_in_dtd/></bogus>")
-		results[2] = result{resp.StatusCode, string(out)}
-	}()
-	wg.Wait()
+	// A document that does not conform to the DTD: the prefilter is
+	// content-lenient (it filters, it does not validate), so this is a
+	// clean 200 with an empty projection — identical to the standalone
+	// path — not a failure that could poison a batch.
+	bogus := startProject(context.Background(), ts, "//item/description#", "<bogus><not_in_dtd/></bogus>")
+	gate.next(t) // the bogus document's pass: a key of its own
+	waitJoined(t, srv.coal, 1)
+	gate.release()
 
-	if results[0].code != http.StatusOK {
-		t.Errorf("healthy batchmate got status %d: %s", results[0].code, results[0].body)
+	checkResult(t, "held request", await(t, holder), 1, want[spec])
+	checkResult(t, "healthy batchmate", await(t, healthy), 1, want[spec])
+	checkResult(t, "non-conforming document", await(t, bogus), 1, "")
+}
+
+// TestCoalescedCancellation checks that one client disconnecting while its
+// batch is pending does not fail its batchmate: the batch still runs, with
+// the survivor, and the leaver counts as cancelled.
+func TestCoalescedCancellation(t *testing.T) {
+	srv, ts := coalescingServer(t, 64)
+	gate := holdPasses(t, srv)
+	spec := "//item/description#"
+	want := referenceOutputs(t, auctionDoc, spec)
+
+	holder := startProject(context.Background(), ts, spec, auctionDoc)
+	gate.next(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := startProject(ctx, ts, spec, auctionDoc)
+	survivor := startProject(context.Background(), ts, spec, auctionDoc)
+	waitJoined(t, srv.coal, 2)
+	cancel() // first batchmate disconnects
+	if r := await(t, gone); r.err == nil {
+		t.Errorf("cancelled request returned status %d", r.code)
 	}
-	if !strings.Contains(results[0].body, "<name>PDA</name>") {
-		t.Errorf("healthy batchmate output %q misses its match", results[0].body)
-	}
-	if results[1].code != http.StatusBadRequest {
-		t.Errorf("unparseable spec got status %d, want 400", results[1].code)
-	}
-	if results[2].code != http.StatusOK || results[2].body != "" {
-		t.Errorf("non-conforming document got status %d body %q, want an empty 200", results[2].code, results[2].body)
+	waitFor(t, "the disconnected waiter to count as cancelled", func() bool {
+		return srv.metrics.snapshot().Cancelled == 1
+	})
+	gate.release()
+
+	checkResult(t, "held request", await(t, holder), 1, want[spec])
+	r := await(t, survivor)
+	checkResult(t, "surviving batchmate", r, 2, want[spec])
+	if !strings.Contains(r.body, "Palm Zire 71") {
+		t.Errorf("surviving batchmate output %q misses its match", r.body)
 	}
 }
 
-// TestCoalescedCancellation checks that one client disconnecting mid-wait
-// does not fail its batchmates, and that a batch whose every waiter is gone
-// is cancelled instead of scanning for nobody.
-func TestCoalescedCancellation(t *testing.T) {
-	srv, ts := coalescingServer(t, 150*time.Millisecond, 64)
+// TestGroupCommitAbandonedBatchSkipsScan disconnects every waiter of a
+// pending batch: the batch never scans, its waiters count as cancelled, and
+// it still counts as one batch in /stats and /metrics alike.
+func TestGroupCommitAbandonedBatchSkipsScan(t *testing.T) {
+	srv, ts := coalescingServer(t, 64)
+	gate := holdPasses(t, srv)
+	spec := "//item/description#"
+	want := referenceOutputs(t, auctionDoc, spec)
 
+	holder := startProject(context.Background(), ts, spec, auctionDoc)
+	gate.next(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		projectURL(ts, "//item/description#", ""), strings.NewReader(auctionDoc))
-	if err != nil {
-		t.Fatal(err)
+	leavers := []<-chan projectResult{
+		startProject(ctx, ts, spec, auctionDoc),
+		startProject(ctx, ts, "/*, //australia//name#", auctionDoc),
 	}
-	req.Header.Set("X-SMP-DTD", url.PathEscape(auctionDTD))
+	waitJoined(t, srv.coal, 2)
+	cancel()
+	for _, res := range leavers {
+		await(t, res)
+	}
+	waitFor(t, "both waiters to leave the pending batch", func() bool {
+		_, live := pendingWaiters(srv.coal)
+		return live == 0 && srv.metrics.snapshot().Cancelled == 2
+	})
+	gate.release()
+	checkResult(t, "held request", await(t, holder), 1, want[spec])
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		// This waiter joins and then disconnects before the window fires.
-		resp, err := ts.Client().Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-	var survivorCode int
-	var survivorBody string
-	go func() {
-		defer wg.Done()
-		time.Sleep(20 * time.Millisecond) // join the same window
-		cancel()                          // first waiter disconnects
-		resp, out := doProject(t, ts, "//item/description#", "", auctionDoc)
-		survivorCode, survivorBody = resp.StatusCode, string(out)
-	}()
-	wg.Wait()
-
-	if survivorCode != http.StatusOK {
-		t.Fatalf("surviving batchmate got status %d: %s", survivorCode, survivorBody)
+	waitFor(t, "the abandoned batch to be accounted", func() bool {
+		return srv.metrics.snapshot().CoalesceBatches == 2 && keyCount(srv.coal) == 0
+	})
+	if extra := len(gate.started); extra != 0 {
+		t.Errorf("the abandoned batch started %d passes, want none", extra)
 	}
-	if !strings.Contains(survivorBody, "Palm Zire 71") {
-		t.Errorf("surviving batchmate output %q misses its match", survivorBody)
+	c := srv.metrics.snapshot()
+	if c.BytesRead != int64(len(auctionDoc)) {
+		t.Errorf("bytes_read = %d, want %d (one scan, by the held pass)", c.BytesRead, len(auctionDoc))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.metrics.snapshot().Cancelled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("disconnected waiter was never counted as cancelled")
-		}
-		time.Sleep(5 * time.Millisecond)
+	st, m := serverStats(t, ts), scrapeMetrics(t, ts)
+	if st.CoalesceBatches != 2 || m["smpserve_coalesce_batch_size_count"] != 2 {
+		t.Errorf("batches: /stats %d, /metrics %v; want 2 in both", st.CoalesceBatches, m["smpserve_coalesce_batch_size_count"])
 	}
 }
 
@@ -257,7 +461,7 @@ func TestCoalescerSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	srv, ts := coalescingServer(t, 2*time.Millisecond, 8)
+	srv, ts := coalescingServer(t, 8)
 
 	// A couple of distinct documents (different content hashes) plus specs.
 	docs := []string{
@@ -271,16 +475,8 @@ func TestCoalescerSoak(t *testing.T) {
 	}
 	want := make(map[string]string) // doc \x00 spec -> reference output
 	for _, doc := range docs {
-		for _, spec := range specs {
-			pf, err := smp.Compile(auctionDTD, spec, smp.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := pf.Project(context.Background(), &buf, strings.NewReader(doc)); err != nil {
-				t.Fatal(err)
-			}
-			want[doc+"\x00"+spec] = buf.String()
+		for spec, out := range referenceOutputs(t, doc, specs...) {
+			want[doc+"\x00"+spec] = out
 		}
 	}
 
@@ -339,12 +535,15 @@ func TestCoalescerSoak(t *testing.T) {
 		t.Error(err)
 	}
 
-	// All batches unwound: no leaked timer/runner goroutines, no stuck
+	// All batches unwound: no leaked batch goroutines or key state, no stuck
 	// admission reservations, a histogram consistent with the batch count.
 	// Idle keep-alive connections (two goroutines per conn) are closed
 	// first so the count can actually return to the baseline.
 	ts.Client().CloseIdleConnections()
 	waitGoroutines(t, before)
+	if n := keyCount(srv.coal); n != 0 {
+		t.Errorf("%d keys keep group-commit state after the soak", n)
+	}
 	if buffered, _ := srv.adm.view(); buffered != 0 {
 		t.Errorf("admission gauge stuck at %d bytes after the soak", buffered)
 	}
@@ -382,7 +581,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 // upload → ETag; re-upload → dedup; If-None-Match → 304 without a body
 // read; project by doc=sha256:<hex> with an empty body; GET round-trip.
 func TestDocumentUploadAndProject(t *testing.T) {
-	srv, ts := coalescingServer(t, 10*time.Millisecond, 8)
+	srv, ts := coalescingServer(t, 8)
 
 	post := func(body string, hdr map[string]string) *http.Response {
 		t.Helper()
@@ -455,7 +654,7 @@ func TestDocumentUploadAndProject(t *testing.T) {
 // TestAdmissionShedding drains the buffered-byte budget and checks the
 // 429 + Retry-After answer, the shed counter, and recovery after release.
 func TestAdmissionShedding(t *testing.T) {
-	srv, ts := coalescingServer(t, 10*time.Millisecond, 8)
+	srv, ts := coalescingServer(t, 8)
 	srv.adm.max = 16 // tiny budget: any real document overflows it
 
 	resp, out := doProject(t, ts, "/*, //australia//name#", "", auctionDoc)
@@ -552,7 +751,7 @@ func TestDocCacheEvictionWhileReferenced(t *testing.T) {
 // histogram sums to the batch count) that field-by-field assembly used to
 // violate.
 func TestStatsConsistencyUnderHammer(t *testing.T) {
-	srv, ts := coalescingServer(t, time.Millisecond, 4)
+	srv, ts := coalescingServer(t, 4)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

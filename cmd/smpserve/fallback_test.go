@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"smp/internal/mmapio"
 )
@@ -19,7 +18,7 @@ import (
 // served output.
 
 func TestDocrootFallbacks(t *testing.T) {
-	srv, ts := coalescingServer(t, 20*time.Millisecond, 8)
+	srv, ts := coalescingServer(t, 8)
 	dir := t.TempDir()
 	srv.docroot = dir
 

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"smp"
 )
@@ -102,7 +101,7 @@ func TestDocIndexServesRepeatedProjections(t *testing.T) {
 // the coalescer replay the index too: repeated singleton batches for the
 // same (document, query) count index hits after the first.
 func TestDocIndexCoalescedBatches(t *testing.T) {
-	_, ts := coalescingServer(t, time.Millisecond, 8)
+	_, ts := coalescingServer(t, 8)
 	hash := uploadAuctionDoc(t, ts)
 	spec := "/*, //australia//name#"
 	for round := 0; round < 3; round++ {

@@ -32,15 +32,15 @@
 // calls, so the server batches for it: concurrent /project requests that
 // target the same document — identified by content hash, whether the
 // document arrives in the body, sits in the document cache, or lives under
-// -docroot — are held in a small window (-coalescewindow, fired early at
-// -coalescemax requests) and served by one MultiProject pass. Every
-// coalesced response is byte-identical to the uncoalesced response for the
-// same (document, paths) pair; per-query errors are isolated, and a client
-// that disconnects mid-wait abandons only its own response — the batch runs
-// to completion for its batchmates and is cancelled only when every waiter
-// is gone. A single request can opt out with ?coalesce=off. Bodies with an
-// unknown Content-Length or larger than -coalescemaxbytes bypass the
-// coalescer and stream with constant memory as before.
+// -docroot — share one MultiProject pass by group commit: a request for a
+// document with no pass in flight starts one at once (it waits for nothing),
+// and requests arriving meanwhile join the next pass, started when the
+// current one ends or early at -coalescemax requests. Coalesced responses
+// are byte-identical to uncoalesced ones; per-query errors are isolated, and
+// a client that disconnects abandons only its own response — a batch is
+// cancelled only when every waiter is gone. A request can opt out with
+// ?coalesce=off. Bodies with an unknown Content-Length or larger than
+// -coalescemaxbytes bypass the coalescer and stream with constant memory.
 //
 // # Document cache
 //
@@ -155,8 +155,7 @@ func main() {
 		intraMin   = flag.Int64("intramin", 4<<20, "request body size in bytes from which intra-document parallelism kicks in (requires a Content-Length)")
 		docroot    = flag.String("docroot", "", "directory of server-local documents: /project?doc=<name> projects the named file (memory-mapped when possible) instead of the request body")
 
-		coalesceWindow   = flag.Duration("coalescewindow", 2*time.Millisecond, "how long the first request for a document waits for same-document company (0 disables coalescing)")
-		coalesceMax      = flag.Int("coalescemax", 16, "coalesced batch fires early at this many requests")
+		coalesceMax      = flag.Int("coalescemax", 16, "a batch waiting behind an in-flight pass starts early, beside it, at this many requests")
 		coalesceMaxBytes = flag.Int64("coalescemaxbytes", 8<<20, "largest request body the coalescer will buffer; bigger bodies stream uncoalesced")
 		docCacheBytes    = flag.Int64("doccache", 256<<20, "byte budget of the content-addressed document cache (0 disables /documents)")
 		docCacheDir      = flag.String("doccachedir", "", "spool directory for cached documents (default: a fresh temp dir, removed on shutdown)")
@@ -182,9 +181,7 @@ func main() {
 	srv.docroot = *docroot
 	srv.coalesceMaxBytes = *coalesceMaxBytes
 	srv.adm.max = *maxInflight
-	if *coalesceWindow > 0 {
-		srv.coal = newCoalescer(srv, *coalesceWindow, *coalesceMax)
-	}
+	srv.coal = newCoalescer(srv, *coalesceMax)
 	var cleanupSpool func()
 	if *docCacheBytes > 0 {
 		dir := *docCacheDir
@@ -223,7 +220,6 @@ func main() {
 		"addr", ln.Addr().String(),
 		"cache_capacity", *cache,
 		"cache_bytes", *cacheBytes,
-		"coalesce_window", *coalesceWindow,
 		"doc_cache_bytes", *docCacheBytes)
 	err = serveUntilSignal(&http.Server{Handler: srv.routes()}, ln, stop, *drain, logger)
 	if cleanupSpool != nil {
@@ -370,7 +366,7 @@ func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.coal.enabled() && r.URL.Query().Get("coalesce") != "off" {
+	if s.coal != nil && r.URL.Query().Get("coalesce") != "off" {
 		if s.serveCoalesced(w, r, o, dtdSource, canonical, label, doc) {
 			return
 		}
@@ -925,7 +921,6 @@ type statsResponse struct {
 	CoalescedRequests int64            `json:"coalesced_requests"`
 	CoalesceBatches   int64            `json:"coalesce_batches"`
 	CoalesceBatchHist map[string]int64 `json:"coalesce_batch_hist"`
-	CoalesceWindowMs  float64          `json:"coalesce_window_ms"`
 	CoalesceMaxBatch  int              `json:"coalesce_max_batch"`
 
 	ShedRequests  int64 `json:"shed_requests"`
@@ -980,8 +975,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheEvictions:     evictions,
 		CacheEntries:       entries,
 	}
-	if s.coal.enabled() {
-		resp.CoalesceWindowMs = float64(s.coal.window) / float64(time.Millisecond)
+	if s.coal != nil {
 		resp.CoalesceMaxBatch = s.coal.maxBatch
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -157,7 +157,7 @@ func TestMetricsReconcilesWithStats(t *testing.T) {
 // invariants inside every single exposition: failures never exceed
 // requests, and the coalesce histogram's bucket counts sum to its _count.
 func TestMetricsUnderConcurrentLoad(t *testing.T) {
-	srv, ts := coalescingServer(t, time.Millisecond, 8)
+	srv, ts := coalescingServer(t, 8)
 	params := "paths=" + url.QueryEscape("/*, //australia//name#")
 
 	var wg sync.WaitGroup
