@@ -118,8 +118,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		indexMode   = fs.Bool("index", false, "index mode: build each query's candidate-index sidecar once, then compare repeated replay against repeated rescanning (byte-identical, then timed)")
 		serveURL    = fs.String("serve", "", "serve mode: load-test a running smpserve at this base URL (e.g. http://localhost:8080)")
 		conns       = fs.Int("conns", 8, "serve mode: concurrent connections")
-		serveDur    = fs.Duration("duration", 2*time.Second, "serve mode: timed length of each load phase")
-		dupRatio    = fs.Float64("dup", 1.0, "serve mode: fraction of requests targeting the shared hot document (the coalescable traffic)")
+		serveDur    = fs.Duration("duration", 2*time.Second, "serve mode: timed length of the load phase")
+		dupRatio    = fs.Float64("dup", 1.0, "serve mode: fraction of requests targeting the shared hot document")
 		rate        = fs.Float64("rate", 0, "serve mode: open-loop arrival rate in requests/s across all connections (0 = closed loop)")
 		useBody     = fs.Bool("body", false, "serve mode: re-upload the document in every request body instead of referencing the server's content-addressed cache")
 		serveScrape = fs.Bool("metrics", true, "serve mode: verify /healthz build info and scrape /metrics at the end of the run for server-side latency percentiles")

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"smp"
 	"smp/internal/experiments"
 	"smp/internal/obs"
 	"smp/internal/stats"
@@ -24,21 +25,18 @@ import (
 
 // The -serve mode is the closed-loop (or paced open-loop) load harness for
 // smpserve: N connections drive /project against a running server with a
-// controllable duplicate-document ratio — the knob that decides how much
-// same-document concurrency the server's request coalescer can exploit.
-// Each request's response is compared byte-for-byte against an uncoalesced
-// reference (?coalesce=off) captured before the timed run, so the harness
-// doubles as an end-to-end equivalence gate: coalescing must be invisible
-// in the bytes, visible only in the latency distribution. The mode runs two
-// timed phases — coalescing on, then forced off via ?coalesce=off on every
-// request — against the same server and reports p50/p95/p99 latency,
-// request throughput and document bandwidth for both, plus the speedup.
+// controllable duplicate-document ratio — how much of the traffic targets
+// one hot document. Each response is compared byte-for-byte against a
+// reference projected in-process by the library over the same bundled DTD,
+// so the harness doubles as an end-to-end equivalence gate: the server must
+// answer exactly what smp.Prefilter.Project produces. One timed phase
+// reports p50/p95/p99 latency, request throughput and document bandwidth.
 
 // serveConfig carries the -serve mode knobs.
 type serveConfig struct {
 	url      string        // base URL of the running smpserve
 	conns    int           // concurrent connections (workers)
-	duration time.Duration // timed length of each phase
+	duration time.Duration // timed length of the load phase
 	dupRatio float64       // fraction of requests that target the shared hot document
 	rate     float64       // open-loop arrival rate in requests/s (0 = closed loop)
 	docSize  int64         // generated document size
@@ -47,14 +45,13 @@ type serveConfig struct {
 	metrics  bool // verify /healthz build info and scrape /metrics after the run
 }
 
-// serveResult aggregates one timed phase.
+// serveResult aggregates the timed phase.
 type serveResult struct {
 	requests  int64
 	errors    int64
 	docBytes  int64
 	latencies []time.Duration
 	elapsed   time.Duration
-	batched   int64 // responses that reported a coalesced batch > 1
 }
 
 func (r *serveResult) percentile(p float64) time.Duration {
@@ -65,7 +62,7 @@ func (r *serveResult) percentile(p float64) time.Duration {
 	return r.latencies[idx]
 }
 
-// runServe drives the load against cfg.url and reports both phases.
+// runServe drives the load against cfg.url and reports the phase.
 func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Table, error) {
 	base := strings.TrimSuffix(scfg.url, "/")
 	if _, err := url.Parse(base); err != nil {
@@ -81,7 +78,7 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 		scfg.docSize = 512 << 10
 	}
 
-	// Workload: one hot document every connection shares (the coalescable
+	// Workload: one hot document every connection shares (the duplicate
 	// traffic) plus one distinct document per connection (the long tail),
 	// projected by a rotating set of XMark query path sets.
 	hot := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: scfg.docSize, Seed: scfg.seed + 1})
@@ -103,10 +100,10 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 
 	// Unless -body asks for per-request uploads, each document is uploaded
 	// to the content-addressed cache once and then referenced by digest:
-	// requests carry ~100 bytes instead of the document, so the measured
-	// difference between the phases is the scan work coalescing saves, not
-	// upload bandwidth. This is also the intended production pattern — hot
-	// documents live server-side, clients send queries.
+	// requests carry ~100 bytes instead of the document, so the run measures
+	// the server's projection work, not upload bandwidth. This is also the
+	// intended production pattern — hot documents live server-side, clients
+	// send queries.
 	refFor := make(map[*byte]string) // first byte of the doc slice → doc= reference
 	if !scfg.useBody {
 		upload := func(doc []byte) error {
@@ -141,11 +138,8 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 		}
 	}
 
-	post := func(ctx context.Context, doc []byte, spec string, coalesce bool) ([]byte, bool, error) {
+	post := func(ctx context.Context, doc []byte, spec string) ([]byte, error) {
 		u := base + "/project?dataset=xmark&paths=" + url.QueryEscape(spec)
-		if !coalesce {
-			u += "&coalesce=off"
-		}
 		reqBody := io.Reader(bytes.NewReader(doc))
 		if ref, ok := refFor[&doc[0]]; ok {
 			u += "&doc=" + url.QueryEscape(ref)
@@ -153,54 +147,54 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, reqBody)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		resp, err := client.Do(req)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return nil, false, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 		}
-		batched := false
-		if v := resp.Header.Get("X-SMP-Coalesced-Batch"); v != "" && v != "1" {
-			batched = true
-		}
-		return body, batched, nil
+		return body, nil
 	}
 
-	// Reference responses, captured uncoalesced: one per (document, spec)
-	// pair. Every response in both timed phases must match its reference
-	// byte for byte — the equivalence gate.
+	// Reference outputs, projected in-process by the library over the same
+	// bundled DTD the server's dataset=xmark resolves to: one per (document,
+	// spec) pair. Every response in the timed phase must match its
+	// reference byte for byte — the equivalence gate.
 	type pair struct {
 		doc  int // -1 = hot
 		spec int
 	}
 	refs := make(map[pair][]byte)
-	for si := range specs {
-		body, _, err := post(ctx, hot, specs[si], false)
+	for si, spec := range specs {
+		pf, err := smp.Compile(xmlgen.XMarkDTD(), spec, smp.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("capturing reference (hot doc, query %d): %w", si, err)
+			return nil, fmt.Errorf("compiling reference query %d: %w", si, err)
 		}
-		refs[pair{-1, si}] = body
-		for di := range cold {
-			body, _, err := post(ctx, cold[di], specs[si], false)
-			if err != nil {
-				return nil, fmt.Errorf("capturing reference (doc %d, query %d): %w", di, si, err)
+		for di := -1; di < len(cold); di++ {
+			doc := hot
+			if di >= 0 {
+				doc = cold[di]
 			}
-			refs[pair{di, si}] = body
+			var out bytes.Buffer
+			if _, err := pf.Project(ctx, &out, bytes.NewReader(doc)); err != nil {
+				return nil, fmt.Errorf("projecting reference (doc %d, query %d): %w", di, si, err)
+			}
+			refs[pair{di, si}] = out.Bytes()
 		}
 	}
 
-	phase := func(coalesce bool) (*serveResult, error) {
+	phase := func() (*serveResult, error) {
 		res := &serveResult{}
 		var mu sync.Mutex
-		var reqs, errs, docBytes, batched int64
+		var reqs, errs, docBytes int64
 		var mismatch atomic.Value // stores the first equivalence error
 
 		deadline := time.Now().Add(scfg.duration)
@@ -223,7 +217,7 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 				defer wg.Done()
 				rng := newSplitMix(scfg.seed + 1000 + uint64(c))
 				var local []time.Duration
-				var lreqs, lerrs, lbytes, lbatched int64
+				var lreqs, lerrs, lbytes int64
 				next := time.Now()
 				for i := 0; time.Now().Before(deadline); i++ {
 					if interval > 0 {
@@ -245,7 +239,7 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 						doc = cold[c]
 					}
 					start := time.Now()
-					body, wasBatched, err := post(phaseCtx, doc, specs[p.spec], coalesce)
+					body, err := post(phaseCtx, doc, specs[p.spec])
 					lat := time.Since(start)
 					if err != nil {
 						if phaseCtx.Err() != nil {
@@ -256,14 +250,11 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 					}
 					lreqs++
 					lbytes += int64(len(doc))
-					if wasBatched {
-						lbatched++
-					}
 					local = append(local, lat)
 					if !bytes.Equal(body, refs[p]) {
 						mismatch.Store(fmt.Errorf(
-							"equivalence violation: coalesce=%v response for (doc %d, query %d) diverges from the uncoalesced reference (%d vs %d bytes)",
-							coalesce, p.doc, p.spec, len(body), len(refs[p])))
+							"equivalence violation: response for (doc %d, query %d) diverges from the library's projection (%d vs %d bytes)",
+							p.doc, p.spec, len(body), len(refs[p])))
 						cancel()
 						return
 					}
@@ -272,7 +263,6 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 				reqs += lreqs
 				errs += lerrs
 				docBytes += lbytes
-				batched += lbatched
 				res.latencies = append(res.latencies, local...)
 				mu.Unlock()
 			}(c)
@@ -283,7 +273,7 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 		if err, ok := mismatch.Load().(error); ok && err != nil {
 			return nil, err
 		}
-		res.requests, res.errors, res.docBytes, res.batched = reqs, errs, docBytes, batched
+		res.requests, res.errors, res.docBytes = reqs, errs, docBytes
 		sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
 		return res, nil
 	}
@@ -292,53 +282,36 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 	if scfg.rate > 0 {
 		arrival = fmt.Sprintf("open @ %.0f req/s", scfg.rate)
 	}
+	source := "doc-ref"
+	if scfg.useBody {
+		source = "body"
+	}
 	t := stats.NewTable(
 		fmt.Sprintf("Serve-mode load, %d connections, %s arrival, %.0f%% duplicate documents, %s each",
 			scfg.conns, arrival, 100*scfg.dupRatio, stats.FormatBytes(scfg.docSize)),
-		"Phase", "Requests", "Errors", "Req/s", "Doc MiB/s", "p50", "p95", "p99", "Speedup")
-
-	var coalescedMBps float64
-	for _, coalesce := range []bool{true, false} {
-		res, err := phase(coalesce)
-		if err != nil {
-			return nil, err
-		}
-		if res.requests == 0 {
-			return nil, fmt.Errorf("phase coalesce=%v completed zero requests in %s", coalesce, scfg.duration)
-		}
-		label, input := "coalesced", "coalesce"
-		if !coalesce {
-			label, input = "uncoalesced", "nocoalesce"
-		} else if res.batched == 0 && scfg.dupRatio > 0 && scfg.conns > 1 {
-			// The server never actually batched: either coalescing is off
-			// server-side or no request arrived while a pass for its
-			// document was in flight. The phase label says so rather than
-			// implying a no-op speedup.
-			label = "coalesced (no batches!)"
-		}
-		mbps := float64(res.docBytes) / (1 << 20) / res.elapsed.Seconds()
-		qps := float64(res.requests) / res.elapsed.Seconds()
-		speedup := "1.00x"
-		if coalesce {
-			coalescedMBps = mbps
-		} else if mbps > 0 {
-			speedup = stats.FormatRatio(coalescedMBps, mbps)
-		}
-		blog.addLatency("serve", scfg.conns, 1, input, mbps, qps,
-			res.percentile(0.50), res.percentile(0.95), res.percentile(0.99))
-		t.AddRow(
-			label,
-			fmt.Sprintf("%d", res.requests),
-			fmt.Sprintf("%d", res.errors),
-			stats.FormatFloat(qps),
-			stats.FormatFloat(mbps),
-			stats.FormatDuration(res.percentile(0.50)),
-			stats.FormatDuration(res.percentile(0.95)),
-			stats.FormatDuration(res.percentile(0.99)),
-			speedup,
-		)
+		"Source", "Requests", "Errors", "Req/s", "Doc MiB/s", "p50", "p95", "p99")
+	res, err := phase()
+	if err != nil {
+		return nil, err
 	}
-	t.AddNote("every response in both phases verified byte-identical to its uncoalesced reference; Doc MiB/s counts document bytes offered, so coalesced batches show as served bandwidth above one scan's worth; Speedup is coalesced over uncoalesced document bandwidth on the same server")
+	if res.requests == 0 {
+		return nil, fmt.Errorf("completed zero requests in %s", scfg.duration)
+	}
+	mbps := float64(res.docBytes) / (1 << 20) / res.elapsed.Seconds()
+	qps := float64(res.requests) / res.elapsed.Seconds()
+	blog.addLatency("serve", scfg.conns, 1, source, mbps, qps,
+		res.percentile(0.50), res.percentile(0.95), res.percentile(0.99))
+	t.AddRow(
+		source,
+		fmt.Sprintf("%d", res.requests),
+		fmt.Sprintf("%d", res.errors),
+		stats.FormatFloat(qps),
+		stats.FormatFloat(mbps),
+		stats.FormatDuration(res.percentile(0.50)),
+		stats.FormatDuration(res.percentile(0.95)),
+		stats.FormatDuration(res.percentile(0.99)),
+	)
+	t.AddNote("every response verified byte-identical to the library's in-process projection of its document; Doc MiB/s counts document bytes offered")
 
 	if scfg.metrics {
 		if err := checkHealthz(ctx, client, base); err != nil {
@@ -350,7 +323,7 @@ func runServe(ctx context.Context, scfg serveConfig, blog *benchLog) (*stats.Tab
 		}
 		blog.addLatency("serve-server", scfg.conns, 1, "metrics", 0, 0, p50, p95, p99)
 		t.AddNote(fmt.Sprintf(
-			"server-side /metrics histogram over %d /project requests: p50 %s, p95 %s, p99 %s (includes the reference captures; client-side numbers above add network and queueing)",
+			"server-side /metrics histogram over %d /project requests: p50 %s, p95 %s, p99 %s (client-side numbers above add network and queueing)",
 			count, stats.FormatDuration(p50), stats.FormatDuration(p95), stats.FormatDuration(p99)))
 	}
 	return t, nil

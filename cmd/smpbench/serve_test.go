@@ -23,8 +23,8 @@ import (
 
 // stubServe is a miniature in-process stand-in for smpserve: enough of
 // /project and /documents for the -serve harness to run against, with real
-// projections (so the harness's byte-identity gate actually bites) but no
-// coalescing. The CI load-smoke job covers the real binary; these tests
+// projections (so the harness's byte-identity gate actually bites). The CI
+// load-smoke job covers the real binary; these tests
 // cover the harness mechanics — arrival loops, percentile math, trajectory
 // records, equivalence plumbing.
 type stubServe struct {
@@ -135,13 +135,14 @@ func TestRunServe(t *testing.T) {
 		t.Fatalf("run -serve: %v\nstderr: %s", err, stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"Serve-mode load", "coalesced", "uncoalesced", "p95", "byte-identical", "server-side /metrics histogram"} {
+	for _, want := range []string{"Serve-mode load", "doc-ref", "p95", "byte-identical", "server-side /metrics histogram"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 
-	// The trajectory point carries one record per phase with latency fields.
+	// The trajectory point carries the phase's record with latency fields,
+	// plus the server-side scrape.
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +155,8 @@ func TestRunServe(t *testing.T) {
 		t.Fatalf("trajectory has %d points, want 1", len(trajectory))
 	}
 	records := trajectory[0].Records
-	if len(records) != 3 {
-		t.Fatalf("point has %d records, want 3 (coalesce, nocoalesce, server-side scrape)", len(records))
+	if len(records) != 2 {
+		t.Fatalf("point has %d records, want 2 (the load phase, the server-side scrape)", len(records))
 	}
 	inputs := map[string]bool{}
 	for _, r := range records {
@@ -177,7 +178,7 @@ func TestRunServe(t *testing.T) {
 			t.Errorf("record %+v: percentiles out of order", r)
 		}
 	}
-	for _, want := range []string{"coalesce", "nocoalesce", "metrics"} {
+	for _, want := range []string{"doc-ref", "metrics"} {
 		if !inputs[want] {
 			t.Errorf("records cover inputs %v, want %s among them", inputs, want)
 		}
@@ -200,25 +201,28 @@ func TestRunServeOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run -serve (open loop): %v\nstderr: %s", err, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "open @ 50 req/s") {
-		t.Errorf("output does not report the open-loop arrival:\n%s", stdout.String())
+	for _, want := range []string{"open @ 50 req/s", "body"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("output does not report %q:\n%s", want, stdout.String())
+		}
 	}
 }
 
 // TestRunServeEquivalenceGate corrupts one response and checks that the
-// harness fails loudly — the property CI relies on.
+// harness fails loudly against its in-process references — the property CI
+// relies on.
 func TestRunServeEquivalenceGate(t *testing.T) {
 	stub := newStubServe()
 	var n int64
 	var mu sync.Mutex
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/project" && r.URL.Query().Get("coalesce") != "off" {
+		if r.URL.Path == "/project" {
 			mu.Lock()
 			n++
 			corrupt := n == 3
 			mu.Unlock()
 			if corrupt {
-				// A "coalesced" response that diverges from the reference.
+				// A response that diverges from the library's projection.
 				w.Write([]byte("<corrupted/>"))
 				return
 			}
@@ -236,7 +240,7 @@ func TestRunServeEquivalenceGate(t *testing.T) {
 		"-xmark", "32KiB",
 	}, &stdout, &stderr)
 	if err == nil {
-		t.Fatal("harness accepted a corrupted coalesced response")
+		t.Fatal("harness accepted a corrupted response")
 	}
 	if !strings.Contains(err.Error(), "equivalence violation") {
 		t.Errorf("error %q does not name the equivalence violation", err)

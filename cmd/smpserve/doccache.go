@@ -24,8 +24,8 @@ import (
 // (see internal/mmapio), entries degrade to plain heap copies; the cache
 // works identically either way.
 //
-// Eviction is LRU by total bytes. An entry can be evicted while a batch is
-// still scanning it, so entries are refcounted: eviction marks the entry
+// Eviction is LRU by total bytes. An entry can be evicted while a request
+// is still scanning it, so entries are refcounted: eviction marks the entry
 // dead and the last release unmaps and deletes the spool file. Callers must
 // pair every acquire (get/put) with exactly one release.
 type docCache struct {
@@ -427,15 +427,6 @@ func (dc *docCache) stats() docCacheStats {
 	return st
 }
 
-// indexBuilder is the slice of the public API both *smp.Prefilter and
-// *smp.MultiPrefilter offer for index serving: the vocabulary identity, the
-// coverage check, and the build.
-type indexBuilder interface {
-	VocabularyFingerprint() uint64
-	IndexCovers(*smp.Index) bool
-	BuildIndex([]byte) *smp.Index
-}
-
 // docIndex resolves the candidate index serving one (cached document,
 // query vocabulary) pair: the entry's in-memory map first, then a sidecar
 // persisted in the spool directory (by this process or a previous one — the
@@ -443,8 +434,8 @@ type indexBuilder interface {
 // admitted for every later projection. Returns nil when the entry is at its
 // index cap (the run then scans; the caller counts an index skip). The
 // caller must hold a reference on e for the duration.
-func (s *server) docIndex(e *docEntry, eng indexBuilder) *smp.Index {
-	fp := eng.VocabularyFingerprint()
+func (s *server) docIndex(e *docEntry, pf *smp.Prefilter) *smp.Index {
+	fp := pf.VocabularyFingerprint()
 	ix, admittable := s.docs.index(e, fp)
 	if ix != nil {
 		return ix
@@ -454,7 +445,7 @@ func (s *server) docIndex(e *docEntry, eng indexBuilder) *smp.Index {
 	}
 	path := s.docs.sidecarPath(e.hash, fp)
 	if loaded, err := smp.ReadIndex(path); err == nil &&
-		loaded.Bind(e.data) == nil && eng.IndexCovers(loaded) {
+		loaded.Bind(e.data) == nil && pf.IndexCovers(loaded) {
 		// A decoded sidecar that fails any check — corrupt bytes, content
 		// mismatch, foreign vocabulary — falls through to a rebuild, which
 		// atomically replaces it.
@@ -463,7 +454,7 @@ func (s *server) docIndex(e *docEntry, eng indexBuilder) *smp.Index {
 		}
 		return loaded // entry died or filled up mid-load: serve this run only
 	}
-	ix = eng.BuildIndex(e.data)
+	ix = pf.BuildIndex(e.data)
 	persisted := ix.WriteFile(path) == nil
 	if !s.docs.admitIndex(e, fp, ix) && persisted {
 		os.Remove(path) // the entry died underfoot; don't leak the sidecar
@@ -472,8 +463,8 @@ func (s *server) docIndex(e *docEntry, eng indexBuilder) *smp.Index {
 }
 
 // admission is the in-flight byte budget: every request that buffers its
-// body (coalescing, /documents uploads) reserves the bytes first and
-// releases them when the buffer dies. When the budget is exhausted the
+// body (bounded /project bodies, /documents uploads) reserves the bytes
+// first and releases them when the buffer dies. When the budget is exhausted the
 // request is shed with 429 + Retry-After instead of growing the heap — the
 // server degrades by refusing work it cannot hold, never by falling over.
 type admission struct {
@@ -499,22 +490,6 @@ func (a *admission) reserve(n int64) bool {
 	return true
 }
 
-// tryReserve claims n buffered bytes like reserve but without counting a
-// shed request on refusal — for opportunistic buffering that degrades to
-// streaming instead of refusing the request.
-func (a *admission) tryReserve(n int64) bool {
-	if a.max <= 0 {
-		return true
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.reserved+n > a.max {
-		return false
-	}
-	a.reserved += n
-	return true
-}
-
 // release returns n reserved bytes to the budget.
 func (a *admission) release(n int64) {
 	if a.max <= 0 {
@@ -530,36 +505,4 @@ func (a *admission) view() (reserved, shed int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.reserved, a.shed
-}
-
-// hashReader computes the canonical digest of a stream.
-func hashReader(r io.Reader) (string, error) {
-	h := sha256.New()
-	if _, err := io.Copy(h, r); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// hashFile computes the digest of an open file without copying where the
-// platform allows: the file is memory-mapped (internal/mmapio) and hashed
-// in place, falling back to a streaming read. The file offset is left
-// unchanged either way, so the caller can still project the same handle.
-func hashFile(f *os.File) (string, error) {
-	if m, err := mmapio.Map(f); err == nil {
-		defer m.Close()
-		return hashBytes(m.Bytes()), nil
-	}
-	off, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return "", err
-	}
-	hash, err := hashReader(f)
-	if err != nil {
-		return "", err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return "", err
-	}
-	return hash, nil
 }

@@ -4,11 +4,11 @@ import "strings"
 
 // Document identity is a content hash: sha256 over the document bytes,
 // spelled "sha256:<64 lowercase hex digits>". The same spelling serves as
-// the coalescing key (documents with equal hashes share one batch), as the
-// doc= reference into the document cache, and — quoted — as the HTTP ETag
-// of an uploaded document. parseDocRef is the one parser for all three
-// spellings; it is deliberately strict (exact length, lowercase canonical
-// form out) because its output keys caches and batches.
+// the doc= reference into the document cache and — quoted, possibly weak —
+// as the HTTP ETag of an uploaded document and in If-None-Match.
+// parseDocRef is the one parser for all of them; it is deliberately strict
+// (exact length, lowercase canonical form out) because its output keys the
+// cache.
 
 const (
 	hashScheme = "sha256"

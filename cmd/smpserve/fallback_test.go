@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"smp/internal/mmapio"
 )
 
 // These tests pin down the degraded paths around internal/mmapio in the
@@ -18,7 +16,7 @@ import (
 // served output.
 
 func TestDocrootFallbacks(t *testing.T) {
-	srv, ts := coalescingServer(t, 8)
+	srv, ts := docServer(t)
 	dir := t.TempDir()
 	srv.docroot = dir
 
@@ -68,7 +66,7 @@ func TestDocrootFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		// mmapio refuses empty files (ErrNotMappable), so this exercises the
-		// buffered/streaming fallback. Zero bytes is truncated-at-offset-0
+		// streaming path. Zero bytes is truncated-at-offset-0
 		// input: the engine rejects it up front, and the server must turn
 		// that into a clean 422 — not a panic, not a partial response.
 		resp, body := get("empty.xml")
@@ -154,57 +152,4 @@ func TestDocCacheZeroByteDocument(t *testing.T) {
 		t.Fatal("empty document not retrievable")
 	}
 	dc.release(got)
-}
-
-// TestHashFileFallbacks checks hashFile on inputs mmapio refuses: the
-// digest must match the streaming reference and the file offset must be
-// preserved for the subsequent projection.
-func TestHashFileFallbacks(t *testing.T) {
-	dir := t.TempDir()
-
-	t.Run("empty file", func(t *testing.T) {
-		path := filepath.Join(dir, "empty")
-		if err := os.WriteFile(path, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := mmapio.Map(f); err == nil {
-			t.Fatal("mmapio mapped an empty file; the fallback is untested")
-		}
-		hash, err := hashFile(f)
-		if err != nil {
-			t.Fatalf("hashFile on an empty file: %v", err)
-		}
-		if want := hashBytes(nil); hash != want {
-			t.Errorf("hashFile = %s, want %s", hash, want)
-		}
-	})
-
-	t.Run("offset preserved", func(t *testing.T) {
-		path := filepath.Join(dir, "data")
-		if err := os.WriteFile(path, []byte("hello world"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		hash, err := hashFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := hashBytes([]byte("hello world")); hash != want {
-			t.Errorf("hashFile = %s, want %s", hash, want)
-		}
-		// Whatever path hashFile took, the handle must still read from 0.
-		buf := make([]byte, 5)
-		if _, err := f.Read(buf); err != nil || string(buf) != "hello" {
-			t.Errorf("file offset disturbed: read %q, %v", buf, err)
-		}
-	})
 }

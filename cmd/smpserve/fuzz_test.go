@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzDocRef fuzzes the one parser behind document identity: the coalescing
-// key, the doc=sha256:<hex> cache reference and the HTTP ETag / If-None-Match
-// spellings all go through parseDocRef. The properties that keep caches and
-// batches sound:
+// FuzzDocRef fuzzes the one parser behind document identity: the
+// doc=sha256:<hex> cache reference and the HTTP ETag / If-None-Match
+// spellings all go through parseDocRef. The properties that keep the cache
+// sound:
 //
 //   - no panic on any input (the header is attacker-controlled);
 //   - any accepted digest is canonical: 64 lowercase hex digits, and
 //     re-parsing its own formatted ETag round-trips to the same digest
-//     (otherwise equal documents could land in different batches);
+//     (otherwise equal documents could land under different keys);
 //   - acceptance is case-insensitive but the output never is — two
 //     spellings of one digest must produce one key;
 //   - matchesIfNoneMatch is consistent with parseDocRef: a header matches a

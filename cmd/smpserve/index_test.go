@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,16 +8,18 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"smp"
 )
 
-// uploadAuctionDoc uploads the fixture document and returns its digest.
-func uploadAuctionDoc(t *testing.T, ts *httptest.Server) string {
+// uploadDoc uploads a document and returns its digest.
+func uploadDoc(t *testing.T, ts *httptest.Server, doc string) string {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/documents", "application/xml", strings.NewReader(auctionDoc))
+	resp, err := ts.Client().Post(ts.URL+"/documents", "application/xml", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,73 +49,89 @@ func serverStats(t *testing.T, ts *httptest.Server) statsResponse {
 }
 
 // TestDocIndexServesRepeatedProjections checks the lazy index path end to
-// end on the uncoalesced route: the first ?doc= projection builds and
-// persists the sidecar, every later one replays it — byte-identical to the
-// scan, counted as index_hits in /stats.
+// end: the first ?doc= projection for a vocabulary builds and persists its
+// sidecar, every later one replays it — byte-identical to the scan, answered
+// with Content-Length and X-SMP-* headers, and counted exactly as
+// index_hits in /stats, one per projection.
 func TestDocIndexServesRepeatedProjections(t *testing.T) {
-	dir := t.TempDir()
-	srv := newServer(16, 0, smp.Options{})
-	srv.docs = newDocCache(dir, 64<<20)
-	ts := httptest.NewServer(srv.routes())
-	t.Cleanup(ts.Close)
-	hash := uploadAuctionDoc(t, ts)
+	srv, ts := docServer(t)
+	hash := uploadDoc(t, ts, auctionDoc)
 
-	spec := "/*, //australia//description#"
-	pf, err := smp.Compile(auctionDTD, spec, smp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantBuf strings.Builder
-	if _, err := pf.Project(context.Background(), &wantBuf, strings.NewReader(auctionDoc)); err != nil {
-		t.Fatal(err)
-	}
-
-	for round := 0; round < 3; round++ {
-		resp, out := doProject(t, ts, spec, "doc="+url.QueryEscape(hashScheme+":"+hash)+"&coalesce=off", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, out)
-		}
-		if string(out) != wantBuf.String() {
-			t.Fatalf("round %d: indexed projection differs from scan:\n%s\nwant:\n%s", round, out, wantBuf.String())
+	specs := []string{"/*, //australia//description#", "/*, //australia//name#"}
+	want := referenceOutputs(t, auctionDoc, specs...)
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
+		for _, spec := range specs {
+			resp, out := doProject(t, ts, spec, "doc="+url.QueryEscape(hashScheme+":"+hash), "")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, out)
+			}
+			if string(out) != want[spec] {
+				t.Fatalf("round %d: indexed projection differs from scan:\n%s\nwant:\n%s", round, out, want[spec])
+			}
+			if n := strconv.Itoa(len(out)); resp.Header.Get("Content-Length") != n || resp.Header.Get("X-SMP-Bytes-Written") != n {
+				t.Errorf("round %d: Content-Length %q, X-SMP-Bytes-Written %q, want %s", round,
+					resp.Header.Get("Content-Length"), resp.Header.Get("X-SMP-Bytes-Written"), n)
+			}
 		}
 	}
 
 	st := serverStats(t, ts)
-	if st.IndexHits != 3 || st.IndexSkips != 0 {
-		t.Errorf("index_hits = %d, index_skips = %d, want 3, 0", st.IndexHits, st.IndexSkips)
+	if st.IndexHits != rounds*int64(len(specs)) || st.IndexSkips != 0 {
+		t.Errorf("index_hits = %d, index_skips = %d, want %d, 0", st.IndexHits, st.IndexSkips, rounds*len(specs))
 	}
-	if st.DocCache.Indexes != 1 {
-		t.Errorf("doc_cache.indexes = %d, want 1", st.DocCache.Indexes)
+	if st.DocCache.Indexes != len(specs) {
+		t.Errorf("doc_cache.indexes = %d, want %d", st.DocCache.Indexes, len(specs))
 	}
-	// The sidecar persists next to the spool file, fingerprint-keyed.
-	matches, err := filepath.Glob(filepath.Join(dir, hash+".*"+smp.IndexSidecarExt))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("sidecar glob = %v (err %v), want exactly one", matches, err)
+	// The sidecars persist next to the spool file, fingerprint-keyed.
+	for _, spec := range specs {
+		pf, err := smp.Compile(auctionDTD, spec, smp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(srv.docs.sidecarPath(hash, pf.VocabularyFingerprint())); err != nil {
+			t.Errorf("sidecar for %q: %v", spec, err)
+		}
 	}
-	want := srv.docs.sidecarPath(hash, pf.VocabularyFingerprint())
-	if matches[0] != want {
-		t.Errorf("sidecar at %s, want %s", matches[0], want)
+	matches, err := filepath.Glob(filepath.Join(srv.docs.dir, hash+".*"+smp.IndexSidecarExt))
+	if err != nil || len(matches) != len(specs) {
+		t.Fatalf("sidecar glob = %v (err %v), want %d", matches, err, len(specs))
 	}
 }
 
-// TestDocIndexCoalescedBatches checks that document-cache batches through
-// the coalescer replay the index too: repeated singleton batches for the
-// same (document, query) count index hits after the first.
+// TestDocIndexCoalescedBatches sends bursts of concurrent document-cache
+// references for one vocabulary: the first burst races to build the
+// sidecar, and every projection, racing or not, must replay the one index —
+// one index_hits per projection, one index in the cache. The name dates
+// from the request coalescer whose batches this used to replay through.
 func TestDocIndexCoalescedBatches(t *testing.T) {
-	_, ts := coalescingServer(t, 8)
-	hash := uploadAuctionDoc(t, ts)
+	_, ts := docServer(t)
+	hash := uploadDoc(t, ts, auctionDoc)
 	spec := "/*, //australia//name#"
-	for round := 0; round < 3; round++ {
-		resp, out := doProject(t, ts, spec, "doc="+url.QueryEscape(hashScheme+":"+hash), "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, out)
+	want := referenceOutputs(t, auctionDoc, spec)[spec]
+	const rounds, burst = 3, 4
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, out := doProject(t, ts, spec, "doc="+url.QueryEscape(hashScheme+":"+hash), "")
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("round %d: status %d: %s", round, resp.StatusCode, out)
+				} else if string(out) != want {
+					t.Errorf("round %d: projection %q, want %q", round, out, want)
+				}
+			}()
 		}
-		if !strings.Contains(string(out), "<name>PDA</name>") {
-			t.Fatalf("round %d: projection %q misses the item name", round, out)
-		}
+		wg.Wait()
 	}
-	if st := serverStats(t, ts); st.IndexHits != 3 {
-		t.Errorf("index_hits = %d, want 3 (every batch replays the union index)", st.IndexHits)
+	st := serverStats(t, ts)
+	if st.IndexHits != rounds*burst || st.IndexSkips != 0 {
+		t.Errorf("index_hits = %d, index_skips = %d, want %d, 0 (every reference replays the index)", st.IndexHits, st.IndexSkips, rounds*burst)
+	}
+	if st.DocCache.Indexes != 1 {
+		t.Errorf("doc_cache.indexes = %d, want 1", st.DocCache.Indexes)
 	}
 }
 
@@ -127,7 +144,7 @@ func TestDocIndexCapFallsBackToScan(t *testing.T) {
 	srv.docs = newDocCache(dir, 64<<20)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	hash := uploadAuctionDoc(t, ts)
+	hash := uploadDoc(t, ts, auctionDoc)
 
 	e, ok := srv.docs.get(hash)
 	if !ok {
@@ -151,7 +168,7 @@ func TestDocIndexCapFallsBackToScan(t *testing.T) {
 		t.Fatal("docIndex built an index past the cap")
 	}
 
-	resp, out := doProject(t, ts, "/*, //australia//name#", "doc="+url.QueryEscape(hashScheme+":"+hash)+"&coalesce=off", "")
+	resp, out := doProject(t, ts, "/*, //australia//name#", "doc="+url.QueryEscape(hashScheme+":"+hash), "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
@@ -173,10 +190,10 @@ func TestDocCacheWarmRestart(t *testing.T) {
 	srv := newServer(16, 0, smp.Options{})
 	srv.docs = newDocCache(dir, 64<<20)
 	ts := httptest.NewServer(srv.routes())
-	hash := uploadAuctionDoc(t, ts)
+	hash := uploadDoc(t, ts, auctionDoc)
 	spec := "/*, //australia//description#"
 	// Build the sidecar before the "shutdown".
-	if resp, out := doProject(t, ts, spec, "doc="+url.QueryEscape(hashScheme+":"+hash)+"&coalesce=off", ""); resp.StatusCode != http.StatusOK {
+	if resp, out := doProject(t, ts, spec, "doc="+url.QueryEscape(hashScheme+":"+hash), ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
 	ts.Close()
@@ -207,7 +224,7 @@ func TestDocCacheWarmRestart(t *testing.T) {
 	// The document serves again without re-upload, and the first projection
 	// replays the sidecar written by the previous process: an index hit with
 	// zero builds means the candidate stream survived the restart.
-	resp, out := doProject(t, ts2, spec, "doc="+url.QueryEscape(hashScheme+":"+hash)+"&coalesce=off", "")
+	resp, out := doProject(t, ts2, spec, "doc="+url.QueryEscape(hashScheme+":"+hash), "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart status %d: %s", resp.StatusCode, out)
 	}

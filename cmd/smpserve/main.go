@@ -1,8 +1,9 @@
 // Command smpserve exposes SMP prefiltering as an HTTP service: compile
 // once, serve many. Each request names a DTD and a projection-path set (or a
 // query to extract the paths from); the compiled prefilter is kept in an LRU
-// cache keyed by the (DTD, paths) pair, and the document is streamed from
-// the request body through the prefilter into the response.
+// cache keyed by the (DTD, paths) pair, and the document — the request body
+// or a server-held document — is projected through the prefilter into the
+// response.
 //
 // Endpoints:
 //
@@ -26,21 +27,19 @@
 // one part per query in parameter order; per-query counters and errors ride
 // in the part headers.
 //
-// # Request coalescing
+// # Bounded and streamed inputs
 //
-// Production traffic does not pre-batch its queries into /multiproject
-// calls, so the server batches for it: concurrent /project requests that
-// target the same document — identified by content hash, whether the
-// document arrives in the body, sits in the document cache, or lives under
-// -docroot — share one MultiProject pass by group commit: a request for a
-// document with no pass in flight starts one at once (it waits for nothing),
-// and requests arriving meanwhile join the next pass, started when the
-// current one ends or early at -coalescemax requests. Coalesced responses
-// are byte-identical to uncoalesced ones; per-query errors are isolated, and
-// a client that disconnects abandons only its own response — a batch is
-// cancelled only when every waiter is gone. A request can opt out with
-// ?coalesce=off. Bodies with an unknown Content-Length or larger than
-// -coalescemaxbytes bypass the coalescer and stream with constant memory.
+// /project serves a bounded input on one buffered path: a document-cache
+// reference, a -docroot file that can be memory-mapped, or a body whose
+// Content-Length is at most 8 MiB. The document is held in memory (the body
+// read into a buffer of exactly its declared length), projected into a
+// buffer, and answered with Content-Length and the X-SMP-* counters as
+// headers; a document that fails anywhere, even mid-way, gets a clean 422.
+// Everything else — chunked or oversized bodies, docroot files that cannot
+// be mapped — streams through the prefilter with constant memory, the
+// counters arriving as HTTP trailers. Queries are not batched across
+// requests: a client with K queries for one document sends them to
+// /multiproject, which shares one scan among them.
 //
 // # Document cache
 //
@@ -63,50 +62,47 @@
 // every later ?doc= projection with a covered vocabulary replays the stored
 // candidates through the automaton instead of re-searching the document —
 // byte-identical output, counted as index_hits in /stats (index_skips when
-// a projection had to scan, e.g. past the per-document index cap). This
-// serves the coalesced and uncoalesced paths alike. With a persistent
-// -doccachedir the server warm-restarts: spooled documents are
+// a projection had to scan, e.g. past the per-document index cap). With a
+// persistent -doccachedir the server warm-restarts: spooled documents are
 // digest-verified and re-admitted on startup, and their sidecars serve
 // again without a single rescan — scan once, serve forever.
 //
 // # Admission control
 //
-// Work the server must buffer — coalesced bodies and /documents uploads —
-// is bounded by -maxinflight bytes. Beyond the budget the server sheds load
-// with 429 + Retry-After instead of growing the heap. Streamed (uncoalesced)
-// projections use constant memory and are never shed.
+// The body bytes the server must buffer — bounded /project bodies and
+// /documents uploads — are reserved against -maxinflight before they are
+// read. Beyond the budget the server sheds load with 429 + Retry-After
+// instead of growing the heap. Memory-mapped documents and streamed bodies
+// reserve nothing and are never shed.
 //
 // # Observability
 //
 // The document is the POST body; the projection is the response body. The
-// per-run counters are reported in X-SMP-* response trailers (headers on
-// coalesced responses, which are buffered), service-level counters at
-// /stats: requests, failures, cache hits, coalesced_requests, the
-// batch-size histogram, document-cache hits/bytes, shed_requests, and more.
-// The /stats JSON is one consistent snapshot: every counter group is read
-// in a single cut under its lock, never assembled field-by-field while
-// requests mutate it.
+// per-run counters are reported in X-SMP-* response headers (trailers on
+// streamed responses), service-level counters at /stats: requests,
+// failures, cache hits, document-cache hits/bytes, index hits/skips,
+// shed_requests, and more. The /stats JSON is one consistent snapshot:
+// every counter group is read in a single cut under its lock, never
+// assembled field-by-field while requests mutate it.
 //
 // GET /metrics renders the same registry (internal/obs) in Prometheus text
 // exposition format: every /stats counter plus per-endpoint request counts
-// and latency histograms, the coalesce batch-size histogram, and a
-// build-info gauge — /stats and /metrics reconcile by construction because
-// they are two views of one instrument set. Requests are logged as
-// structured log/slog lines (method, path, status, bytes, duration,
-// coalesce batch); -logformat selects text or JSON, and -slowlog promotes
-// requests over the threshold to warnings. -pprof serves net/http/pprof on
-// a separate admin listener, kept off the public mux.
+// and latency histograms, and a build-info gauge — /stats and /metrics
+// reconcile by construction because they are two views of one instrument
+// set. Requests are logged as structured log/slog lines (method, path,
+// status, bytes, duration); -logformat selects text or JSON, and -slowlog
+// promotes requests over the threshold to warnings. -pprof serves
+// net/http/pprof on a separate admin listener, kept off the public mux.
 //
 // Every projection runs under the request's context: when a client
-// disconnects mid-stream the in-flight projection is aborted at its next
-// chunk boundary and counted in /stats as "cancelled". Request bodies that
-// declare a Content-Length of at least -intramin bytes are projected with
-// intra-document parallelism (-intra scan workers splitting the single
-// stream, see internal/pipeline); the same policy applies to coalesced
-// batches and /multiproject. The prefilter cache can be bounded both by
-// entry count (-cache) and by the total memory of the compiled plans
-// (-cachebytes); SIGINT or SIGTERM triggers a graceful shutdown that drains
-// in-flight projections (-drain).
+// disconnects the in-flight projection is aborted at its next chunk
+// boundary and counted in /stats as "cancelled". Documents of at least
+// -intramin bytes (a body must declare its Content-Length) are projected
+// with intra-document parallelism (-intra scan workers splitting the single
+// stream, see internal/pipeline), on /project and /multiproject alike. The
+// prefilter cache can be bounded both by entry count (-cache) and by the
+// total memory of the compiled plans (-cachebytes); SIGINT or SIGTERM
+// triggers a graceful shutdown that drains in-flight projections (-drain).
 //
 // Example:
 //
@@ -141,6 +137,7 @@ import (
 	"time"
 
 	"smp"
+	"smp/internal/mmapio"
 	"smp/internal/paths"
 )
 
@@ -155,11 +152,9 @@ func main() {
 		intraMin   = flag.Int64("intramin", 4<<20, "request body size in bytes from which intra-document parallelism kicks in (requires a Content-Length)")
 		docroot    = flag.String("docroot", "", "directory of server-local documents: /project?doc=<name> projects the named file (memory-mapped when possible) instead of the request body")
 
-		coalesceMax      = flag.Int("coalescemax", 16, "a batch waiting behind an in-flight pass starts early, beside it, at this many requests")
-		coalesceMaxBytes = flag.Int64("coalescemaxbytes", 8<<20, "largest request body the coalescer will buffer; bigger bodies stream uncoalesced")
-		docCacheBytes    = flag.Int64("doccache", 256<<20, "byte budget of the content-addressed document cache (0 disables /documents)")
-		docCacheDir      = flag.String("doccachedir", "", "spool directory for cached documents (default: a fresh temp dir, removed on shutdown)")
-		maxInflight      = flag.Int64("maxinflight", 256<<20, "total bytes of request bodies buffered at once before shedding with 429 (0 = unlimited)")
+		docCacheBytes = flag.Int64("doccache", 256<<20, "byte budget of the content-addressed document cache (0 disables /documents)")
+		docCacheDir   = flag.String("doccachedir", "", "spool directory for cached documents (default: a fresh temp dir, removed on shutdown)")
+		maxInflight   = flag.Int64("maxinflight", 256<<20, "total bytes of request bodies buffered at once before shedding with 429 (0 = unlimited)")
 
 		logFormat = flag.String("logformat", "text", "structured log format: text or json")
 		slowLog   = flag.Duration("slowlog", 0, "log requests at least this slow as warnings (0 disables the threshold)")
@@ -179,9 +174,7 @@ func main() {
 	srv.intraWorkers = *intra
 	srv.intraMin = *intraMin
 	srv.docroot = *docroot
-	srv.coalesceMaxBytes = *coalesceMaxBytes
 	srv.adm.max = *maxInflight
-	srv.coal = newCoalescer(srv, *coalesceMax)
 	var cleanupSpool func()
 	if *docCacheBytes > 0 {
 		dir := *docCacheDir
@@ -275,8 +268,8 @@ func serveUntilSignal(hs *http.Server, ln net.Listener, stop <-chan os.Signal, t
 }
 
 // server holds the shared state of the service: the prefilter cache, the
-// compile options, the coalescer, the document cache, the admission budget
-// and the service-level counters.
+// compile options, the document cache, the admission budget and the
+// service-level counters.
 type server struct {
 	cache *prefilterCache
 	opts  smp.Options
@@ -293,13 +286,10 @@ type server struct {
 	// zero-copy mmap path (internal/mmapio) when the platform supports it.
 	docroot string
 
-	// coal batches concurrent same-document requests (nil = coalescing
-	// off); docs is the content-addressed document cache (nil = off); adm
-	// bounds the bytes buffered for both.
-	coal             *coalescer
-	docs             *docCache
-	adm              admission
-	coalesceMaxBytes int64
+	// docs is the content-addressed document cache (nil = off); adm bounds
+	// the request-body bytes buffered at once.
+	docs *docCache
+	adm  admission
 
 	// metrics is the obs.Registry-backed instrument set behind /metrics and
 	// /stats; log and slowLog drive the structured request log.
@@ -310,15 +300,14 @@ type server struct {
 
 func newServer(cacheSize int, cacheBytes int64, opts smp.Options) *server {
 	s := &server{
-		cache:            newPrefilterCache(cacheSize, cacheBytes),
-		opts:             opts,
-		start:            time.Now(),
-		coalesceMaxBytes: 8 << 20,
-		log:              slog.New(slog.NewTextHandler(io.Discard, nil)),
+		cache: newPrefilterCache(cacheSize, cacheBytes),
+		opts:  opts,
+		start: time.Now(),
+		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	// The func-backed instruments close over s, reading the subsystem
-	// counters at scrape time; they tolerate the coalescer and doc cache
-	// being wired up (or left nil) after construction.
+	// counters at scrape time; they tolerate the doc cache being wired up
+	// (or left nil) after construction.
 	s.metrics = newMetrics(s)
 	return s
 }
@@ -345,12 +334,17 @@ func (s *server) admit() *reqOutcome {
 	return &reqOutcome{}
 }
 
-// handleProject streams the request body — or, with doc=<name> against a
+// maxBufferedBody is the largest request body /project reads into memory
+// and answers from the buffered path; bodies of unknown or larger size
+// stream.
+const maxBufferedBody = 8 << 20
+
+// handleProject projects the request body — or, with doc=<name> against a
 // configured -docroot or doc=sha256:<hex> against the document cache, a
 // server-held document — through the prefilter selected by the query
-// parameters and writes the projection as the response body. When
-// coalescing is on, concurrent requests for the same document share one
-// MultiProject pass (see coalesce.go).
+// parameters. Bounded inputs are held in memory and answered by
+// serveBuffered: a body of at most maxBufferedBody declared bytes, a cached
+// document, a docroot file that maps. The rest streams (serveStreamed).
 func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 	o := s.admit()
 	defer s.finish(o)
@@ -360,116 +354,132 @@ func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 		s.failOutcome(w, o, http.StatusMethodNotAllowed, "POST the document to /project")
 		return
 	}
-	dtdSource, canonical, label, err := s.resolveSpec(r)
+	pf, err := s.requestPrefilter(r)
 	if err != nil {
 		s.failOutcome(w, o, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	if s.coal != nil && r.URL.Query().Get("coalesce") != "off" {
-		if s.serveCoalesced(w, r, o, dtdSource, canonical, label, doc) {
+	hash, isRef := parseDocRef(doc)
+	switch {
+	case doc == "":
+		size := r.ContentLength
+		if size < 0 || size > maxBufferedBody {
+			s.serveStreamed(w, r, o, pf, r.Body, size)
 			return
 		}
+		if !s.adm.reserve(size) {
+			s.shedRequest(w, o)
+			return
+		}
+		defer s.adm.release(size)
+		s.serveBuffered(w, r, o, pf, readBody(r, o))
+	case isRef:
+		if !s.docs.enabled() {
+			s.failOutcome(w, o, http.StatusBadRequest, "doc="+hashScheme+":... requires the server to run with -doccache")
+			return
+		}
+		e, ok := s.docs.get(hash)
+		if !ok {
+			s.failOutcome(w, o, http.StatusNotFound, "document "+formatETag(hash)+" not cached; upload it to /documents first")
+			return
+		}
+		defer s.docs.release(e)
+		o.zeroCopy = e.mapping != nil
+		// Replay the document's candidate index, built lazily on the first
+		// projection for this vocabulary and persisted as a sidecar.
+		ix := s.docIndex(e, pf)
+		if ix == nil {
+			o.indexSkips++ // at the per-document index cap: this run scans
+		}
+		s.serveBuffered(w, r, o, pf, e.data, smp.WithIndex(ix))
+	default:
+		if s.docroot == "" {
+			s.failOutcome(w, o, http.StatusBadRequest, "doc= requires the server to run with -docroot")
+			return
+		}
+		f, err := s.openDoc(doc)
+		if err != nil {
+			s.failOutcome(w, o, http.StatusNotFound, "document not found")
+			return
+		}
+		defer f.Close()
+		m, err := mmapio.Map(f)
+		if err != nil {
+			// An empty file, or a platform without mmap: stream it.
+			size := int64(-1)
+			if fi, err := f.Stat(); err == nil {
+				size = fi.Size()
+			}
+			s.serveStreamed(w, r, o, pf, f, size)
+			return
+		}
+		defer m.Close()
+		o.zeroCopy = true
+		s.serveBuffered(w, r, o, pf, m.Bytes())
 	}
+}
 
-	pf, err := s.cachedPrefilter(dtdSource, canonical, label)
+// readBody reads a request body of known length into a buffer of exactly
+// that length. A client that sends fewer bytes than it declared, or goes
+// away mid-upload, is counted as cancelled and its connection is dropped
+// without an answer: readBody then aborts the handler (http.ErrAbortHandler),
+// and the handler's deferred releases and finish still run.
+func readBody(r *http.Request, o *reqOutcome) []byte {
+	data := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, data); err != nil {
+		o.failed, o.cancelled = true, true
+		panic(http.ErrAbortHandler)
+	}
+	return data
+}
+
+// serveBuffered projects a document held in memory into a buffer and
+// answers with Content-Length and the X-SMP-* counters as headers. Nothing
+// is written before the run ends, so a document that fails anywhere, even
+// mid-way, gets a clean 422.
+func (s *server) serveBuffered(w http.ResponseWriter, r *http.Request, o *reqOutcome, pf *smp.Prefilter, data []byte, opts ...smp.ProjectOption) {
+	var out bytes.Buffer
+	opts = append(opts, s.intraOpts(pf, int64(len(data)), o)...)
+	stats, err := pf.Project(r.Context(), &out, bytes.NewReader(data), opts...)
+	o.addRun(stats)
 	if err != nil {
-		s.failOutcome(w, o, http.StatusBadRequest, err.Error())
+		o.failed = true
+		if r.Context().Err() != nil {
+			o.cancelled = true // the client went away: nobody to answer
+			return
+		}
+		s.failOutcome(w, o, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	h := w.Header()
+	h.Set("Content-Type", "application/xml")
+	h.Set("Content-Length", strconv.Itoa(out.Len()))
+	setStatsHeaders(h, stats)
+	n, _ := out.WriteTo(w)
+	o.bytesWritten += n
+}
 
-	src := io.Reader(r.Body)
-	srcSize := r.ContentLength
-	if doc == "" && srcSize >= 0 && srcSize <= s.coalesceMaxBytes && s.adm.tryReserve(srcSize) {
-		// Buffer bounded bodies before projecting, on the coalesced and
-		// uncoalesced paths alike. Beyond a small read-ahead (256 KiB),
-		// net/http closes an unconsumed request body the moment the handler
-		// starts writing the response, so true duplex streaming only works
-		// for bodies the server has already drained; genuine streaming
-		// remains for chunked or oversized uploads, whose projections write
-		// nothing until well after the engine has consumed its input window.
-		defer s.adm.release(srcSize)
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			o.failed, o.cancelled = true, true
-			return // client aborted its own upload
-		}
-		src = bytes.NewReader(data)
-		srcSize = int64(len(data))
-	}
-	var docIx *smp.Index
-	if doc != "" {
-		if hash, ok := parseDocRef(doc); ok {
-			// A cache reference on the uncoalesced path (coalescing off or
-			// bypassed): scan the pinned bytes directly — or better, replay
-			// the document's candidate index, built lazily on the first
-			// projection for this vocabulary and persisted as a sidecar.
-			if !s.docs.enabled() {
-				s.failOutcome(w, o, http.StatusBadRequest, "doc="+hashScheme+":... requires the server to run with -doccache")
-				return
-			}
-			e, ok := s.docs.get(hash)
-			if !ok {
-				s.failOutcome(w, o, http.StatusNotFound, "document "+formatETag(hash)+" not cached; upload it to /documents first")
-				return
-			}
-			defer s.docs.release(e)
-			src = bytes.NewReader(e.data)
-			srcSize = int64(len(e.data))
-			o.zeroCopy = e.mapping != nil
-			if docIx = s.docIndex(e, pf); docIx == nil {
-				o.indexSkips++ // at the per-document index cap: this run scans
-			}
-		} else {
-			if s.docroot == "" {
-				s.failOutcome(w, o, http.StatusBadRequest, "doc= requires the server to run with -docroot")
-				return
-			}
-			f, err := s.openDoc(doc)
-			if err != nil {
-				s.failOutcome(w, o, http.StatusNotFound, "document not found")
-				return
-			}
-			defer f.Close()
-			if fi, err := f.Stat(); err == nil {
-				srcSize = fi.Size()
-			}
-			src = f
-		}
-	}
-
+// serveStreamed projects an input of unknown or unbounded size straight
+// into the response with constant memory. The counters are only known after
+// the body has streamed, so they are sent as HTTP trailers.
+func (s *server) serveStreamed(w http.ResponseWriter, r *http.Request, o *reqOutcome, pf *smp.Prefilter, src io.Reader, size int64) {
 	w.Header().Set("Content-Type", "application/xml")
-	// The counters are only known after the body has streamed, so they are
-	// sent as HTTP trailers (declared before the first body write).
 	w.Header().Set("Trailer", "X-SMP-Bytes-Read, X-SMP-Bytes-Written, X-SMP-Char-Comparisons, X-SMP-Tags-Matched")
-	// Count an intra-document run only if the body is also large enough for
-	// the split pipeline itself — below pf.MinParallelInput, WithWorkers
-	// silently scans serially and /stats must not claim a parallel run.
-	var opts []smp.ProjectOption
-	if s.intraWorkers > 1 && srcSize >= s.intraMin &&
-		srcSize >= int64(pf.MinParallelInput(s.intraWorkers)) {
-		opts = append(opts, smp.WithWorkers(s.intraWorkers))
-		o.intra = true
-	}
-	if docIx != nil {
-		opts = append(opts, smp.WithIndex(docIx))
-	}
+	// The projection writes while the body is still arriving. Without full
+	// duplex, net/http drains up to 256 KiB of the unread body when the
+	// response header goes out, and the engine loses those bytes.
+	http.NewResponseController(w).EnableFullDuplex()
 	out := &countingWriter{w: w}
 	// The request context makes the projection cancellable end to end: a
 	// client that disconnects mid-stream aborts the in-flight run at its
 	// next chunk boundary instead of burning a core on a dead connection.
-	stats, err := pf.Project(r.Context(), out, src, opts...)
-	o.bytesRead += stats.BytesRead
-	o.bytesWritten += stats.BytesWritten
-	o.indexHits += stats.IndexHits
-	o.indexSkips += stats.IndexSkips
-	o.indexSummarySkips += stats.IndexSummarySkips
-	if stats.ZeroCopyInput {
-		o.zeroCopy = true
-	}
+	stats, err := pf.Project(r.Context(), out, src, s.intraOpts(pf, size, o)...)
+	o.addRun(stats)
+	o.bytesWritten += out.n
 	if err != nil {
 		o.failed = true
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || r.Context().Err() != nil {
+		if r.Context().Err() != nil {
 			// Client went away (or the handler deadline fired): the abort is
 			// accounted separately so /stats distinguishes dead-connection
 			// cleanup from real projection failures.
@@ -479,9 +489,7 @@ func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 			// Nothing streamed yet (e.g. a document that does not conform to
 			// the DTD failed up front): a clean error response is possible.
 			w.Header().Del("Trailer")
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(http.StatusUnprocessableEntity)
-			fmt.Fprintln(w, "smpserve:", err)
+			s.failOutcome(w, o, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
 		// Headers are already sent once the projection started streaming, so
@@ -490,6 +498,19 @@ func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	setStatsHeaders(w.Header(), stats)
+}
+
+// intraOpts selects intra-document parallelism for a document of size bytes
+// (-1 = unknown). A run counts as intra-document only if the document is
+// also large enough for the split pipeline itself — below
+// pf.MinParallelInput, WithWorkers silently scans serially and /stats must
+// not claim a parallel run.
+func (s *server) intraOpts(pf *smp.Prefilter, size int64, o *reqOutcome) []smp.ProjectOption {
+	if s.intraWorkers > 1 && size >= s.intraMin && size >= int64(pf.MinParallelInput(s.intraWorkers)) {
+		o.intra = true
+		return []smp.ProjectOption{smp.WithWorkers(s.intraWorkers)}
+	}
+	return nil
 }
 
 // handleDocuments implements the content-addressed document cache API:
@@ -559,11 +580,7 @@ func (s *server) handleDocUpload(w http.ResponseWriter, r *http.Request, o *reqO
 		return
 	}
 	defer s.adm.release(size)
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		o.failed, o.cancelled = true, true
-		return // client aborted its own upload
-	}
+	data := readBody(r, o)
 	o.bytesRead += int64(len(data))
 	hash := hashBytes(data)
 	e, err := s.docs.put(hash, data)
@@ -778,27 +795,26 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// resolveSpec resolves the request's DTD source and canonical projection
-// spec without compiling anything — the parts of request validation that
-// are cheap enough to run before a coalescing decision.
-func (s *server) resolveSpec(r *http.Request) (dtdSource, canonical, label string, err error) {
-	dtdSource, err = requestDTD(r)
+// requestPrefilter resolves the request's DTD and projection spec to a
+// compiled prefilter through the plan cache.
+func (s *server) requestPrefilter(r *http.Request) (*smp.Prefilter, error) {
+	dtdSource, err := requestDTD(r)
 	if err != nil {
-		return "", "", "", err
+		return nil, err
 	}
 	pathSpec := r.URL.Query().Get("paths")
 	querySpec := r.URL.Query().Get("query")
 	switch {
 	case pathSpec == "" && querySpec == "":
-		return "", "", "", fmt.Errorf("missing ?paths=... or ?query=... parameter")
+		return nil, fmt.Errorf("missing ?paths=... or ?query=... parameter")
 	case pathSpec != "" && querySpec != "":
-		return "", "", "", fmt.Errorf("give either ?paths= or ?query=, not both")
+		return nil, fmt.Errorf("give either ?paths= or ?query=, not both")
 	}
-	canonical, err = canonicalSpec(pathSpec, querySpec)
+	canonical, err := canonicalSpec(pathSpec, querySpec)
 	if err != nil {
-		return "", "", "", err
+		return nil, err
 	}
-	return dtdSource, canonical, entryLabel(r, pathSpec, querySpec), nil
+	return s.cachedPrefilter(dtdSource, canonical, entryLabel(r, pathSpec, querySpec))
 }
 
 // canonicalSpec resolves a request's projection spec — a literal path list
@@ -918,11 +934,6 @@ type statsResponse struct {
 	IndexSkips         int64   `json:"index_skips"`
 	IndexSummarySkips  int64   `json:"index_summary_skips"`
 
-	CoalescedRequests int64            `json:"coalesced_requests"`
-	CoalesceBatches   int64            `json:"coalesce_batches"`
-	CoalesceBatchHist map[string]int64 `json:"coalesce_batch_hist"`
-	CoalesceMaxBatch  int              `json:"coalesce_max_batch"`
-
 	ShedRequests  int64 `json:"shed_requests"`
 	BufferedBytes int64 `json:"buffered_bytes"`
 
@@ -940,10 +951,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	c := s.metrics.snapshot()
 	buffered, shed := s.adm.view()
 	entries, size, cacheBytes, hits, misses, evictions := s.cache.view()
-	hist := make(map[string]int64, len(batchBuckets))
-	for i, b := range batchBuckets {
-		hist[b.label] = c.BatchHist[i]
-	}
 	resp := statsResponse{
 		UptimeSeconds:      time.Since(s.start).Seconds(),
 		Requests:           c.Requests,
@@ -962,9 +969,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		IndexHits:          c.IndexHits,
 		IndexSkips:         c.IndexSkips,
 		IndexSummarySkips:  c.IndexSummarySkips,
-		CoalescedRequests:  c.CoalescedRequests,
-		CoalesceBatches:    c.CoalesceBatches,
-		CoalesceBatchHist:  hist,
 		ShedRequests:       shed,
 		BufferedBytes:      buffered,
 		DocCache:           s.docs.stats(),
@@ -974,9 +978,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheMisses:        misses,
 		CacheEvictions:     evictions,
 		CacheEntries:       entries,
-	}
-	if s.coal != nil {
-		resp.CoalesceMaxBatch = s.coal.maxBatch
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +65,8 @@ func postProject(t *testing.T, ts *httptest.Server, params, dtdHeader, doc strin
 }
 
 // TestProjectInlineDTD posts a document with the DTD in the X-SMP-DTD
-// header and checks the projection and the stats trailers.
+// header and checks the projection and, since a body with a known length is
+// answered from a buffer, Content-Length and the X-SMP-* stats headers.
 func TestProjectInlineDTD(t *testing.T) {
 	_, ts := testServer(t, 4)
 	params := "paths=" + url.QueryEscape("/*, //australia//description#")
@@ -89,8 +91,14 @@ func TestProjectInlineDTD(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatalf("projection = %q, want %q", body, want)
 	}
-	if got := resp.Trailer.Get("X-SMP-Bytes-Written"); got == "" {
-		t.Error("missing X-SMP-Bytes-Written trailer")
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(want)) {
+		t.Errorf("Content-Length = %q, want %d", got, len(want))
+	}
+	if got := resp.Header.Get("X-SMP-Bytes-Written"); got != strconv.Itoa(len(want)) {
+		t.Errorf("X-SMP-Bytes-Written header = %q, want %d", got, len(want))
+	}
+	if got := resp.Header.Get("X-SMP-Bytes-Read"); got != strconv.Itoa(len(auctionDoc)) {
+		t.Errorf("X-SMP-Bytes-Read header = %q, want %d", got, len(auctionDoc))
 	}
 }
 
@@ -183,6 +191,9 @@ func TestHealthzAndStats(t *testing.T) {
 		r := postProject(t, ts, params, "", string(doc))
 		io.Copy(io.Discard, r.Body)
 	}
+	// A response with a Content-Length can reach the client before the
+	// handler's deferred commit of its counters.
+	waitFor(t, "every request to commit", func() bool { return srv.metrics.snapshot().Requests == 3 })
 
 	statsResp, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {
@@ -205,7 +216,6 @@ func TestHealthzAndStats(t *testing.T) {
 	if got.BytesRead == 0 || got.BytesWritten == 0 {
 		t.Errorf("stats bytes read/written = %d/%d, want non-zero", got.BytesRead, got.BytesWritten)
 	}
-	_ = srv
 }
 
 // TestCacheEviction fills the LRU beyond capacity and checks evictions.
@@ -394,6 +404,7 @@ func TestIntraDocParallelThreshold(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("parallel projection differs: %d vs %d bytes", len(got), len(want))
 	}
+	waitFor(t, "both requests to commit", func() bool { return srv.metrics.snapshot().Requests == 2 })
 
 	statsResp, err := http.Get(ts.URL + "/stats")
 	if err != nil {

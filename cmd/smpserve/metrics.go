@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"smp"
 	"smp/internal/obs"
 )
 
@@ -17,16 +18,15 @@ import (
 // of the same registry, so the two endpoints reconcile by construction.
 //
 // Request-lifecycle counters are committed once per request in finish(),
-// inside one registry Commit group, so invariants like
-// Failures <= Requests and "the batch histogram sums to CoalesceBatches"
+// inside one registry Commit group, so invariants like Failures <= Requests
 // hold in every scrape. Subsystems that keep their own locked counters (the
 // prefilter LRU, the document cache, admission control) surface through
 // func-backed instruments read at scrape time — no double bookkeeping, no
 // drift between /stats and /metrics.
 
 // counters is the legacy /stats counter view, now assembled from the
-// registry by snapshot(). The field set (and the BatchHist bucketing) is
-// part of the /stats compatibility surface.
+// registry by snapshot(). The field set is part of the /stats
+// compatibility surface.
 type counters struct {
 	InFlight int64 // requests currently being served
 
@@ -37,47 +37,12 @@ type counters struct {
 	MultiRequests      int64 // /multiproject requests
 	MultiIntraRequests int64 // /multiproject served by the parallel K×W pipeline
 	MultiQueries       int64 // queries served across /multiproject requests
-	BytesRead          int64 // document bytes scanned (coalesced documents count once per batch)
+	BytesRead          int64 // document bytes scanned
 	BytesWritten       int64 // projection bytes produced
 	ZeroCopyRuns       int64 // projections served from a memory mapping
 	IndexHits          int64 // projections replayed from a candidate index
 	IndexSkips         int64 // indexed documents that fell back to scanning
 	IndexSummarySkips  int64 // index hits proven empty by the vocabulary summary
-
-	CoalescedRequests int64
-	CoalesceBatches   int64
-	BatchHist         [len(batchBuckets)]int64
-}
-
-// batchBuckets labels the batch-size histogram for the /stats JSON view:
-// bucket i counts batches of size batchBuckets[i].lo..batchBuckets[i].hi.
-// The underlying histogram's upper bounds (batchBounds) coincide with the
-// his of these ranges, so one instrument serves both the /stats label map
-// and the /metrics le-bucketed exposition.
-var batchBuckets = [...]struct {
-	lo, hi int
-	label  string
-}{
-	{1, 1, "1"},
-	{2, 2, "2"},
-	{3, 4, "3-4"},
-	{5, 8, "5-8"},
-	{9, 16, "9-16"},
-	{17, 1 << 30, "17+"},
-}
-
-// batchBounds are the finite le bounds of the coalesce batch-size
-// histogram; the implicit +Inf bucket is batchBuckets' trailing "17+".
-var batchBounds = []float64{1, 2, 4, 8, 16}
-
-// bucketFor maps a batch size to its histogram bucket index.
-func bucketFor(size int) int {
-	for i, b := range batchBuckets {
-		if size >= b.lo && size <= b.hi {
-			return i
-		}
-	}
-	return len(batchBuckets) - 1
 }
 
 // endpoints instrumented with per-endpoint request counters and latency
@@ -110,9 +75,6 @@ type metrics struct {
 	indexSkips        *obs.Counter
 	indexSummarySkips *obs.Counter
 
-	coalescedRequests *obs.Counter
-	coalesceBatches   *obs.Histogram // one observation per batch, value = batch size
-
 	httpRequests map[string]*obs.Counter
 	httpLatency  map[string]*obs.Histogram
 }
@@ -135,16 +97,13 @@ func newMetrics(s *server) *metrics {
 		multiIntraRequests: reg.Counter("smpserve_multi_intra_requests_total", "/multiproject requests served by the parallel KxW pipeline."),
 		multiQueries:       reg.Counter("smpserve_multi_queries_total", "Queries served across /multiproject requests."),
 
-		bytesRead:    reg.Counter("smpserve_document_bytes_read_total", "Document bytes scanned (coalesced documents count once per batch)."),
+		bytesRead:    reg.Counter("smpserve_document_bytes_read_total", "Document bytes scanned."),
 		bytesWritten: reg.Counter("smpserve_projection_bytes_written_total", "Projection bytes written to responses."),
 		zeroCopyRuns: reg.Counter("smpserve_zero_copy_runs_total", "Projections served from a memory mapping instead of a heap buffer."),
 
 		indexHits:         reg.Counter("smpserve_index_hits_total", "Projections replayed from a persisted candidate index."),
 		indexSkips:        reg.Counter("smpserve_index_skips_total", "Indexed documents that fell back to scanning."),
 		indexSummarySkips: reg.Counter("smpserve_index_summary_skips_total", "Index replays proven empty by the per-document vocabulary summary."),
-
-		coalescedRequests: reg.Counter("smpserve_coalesced_requests_total", "Requests that shared a coalesced batch with at least one other request."),
-		coalesceBatches:   reg.Histogram("smpserve_coalesce_batch_size", "Coalesced batch sizes (one observation per batch, including singletons).", batchBounds),
 
 		httpRequests: make(map[string]*obs.Counter, len(endpoints)),
 		httpLatency:  make(map[string]*obs.Histogram, len(endpoints)),
@@ -243,12 +202,6 @@ func (m *metrics) snapshot() counters {
 		c.IndexHits = m.indexHits.Value()
 		c.IndexSkips = m.indexSkips.Value()
 		c.IndexSummarySkips = m.indexSummarySkips.Value()
-		c.CoalescedRequests = m.coalescedRequests.Value()
-		counts := m.coalesceBatches.Counts()
-		for i := range c.BatchHist {
-			c.BatchHist[i] = counts[i]
-		}
-		c.CoalesceBatches = m.coalesceBatches.Count()
 	})
 	return c
 }
@@ -262,13 +215,23 @@ type reqOutcome struct {
 	multi             bool
 	multiIntra        bool
 	queries           int64
-	coalesced         bool // shared a batch with at least one other request
 	zeroCopy          bool
 	bytesRead         int64
 	bytesWritten      int64
 	indexHits         int64
 	indexSkips        int64
 	indexSummarySkips int64
+}
+
+// addRun accumulates the counters of one projection run.
+func (o *reqOutcome) addRun(st smp.Stats) {
+	o.bytesRead += st.BytesRead
+	o.indexHits += st.IndexHits
+	o.indexSkips += st.IndexSkips
+	o.indexSummarySkips += st.IndexSummarySkips
+	if st.ZeroCopyInput {
+		o.zeroCopy = true
+	}
 }
 
 // finish commits a request outcome in one registry Commit group. It is the
@@ -295,9 +258,6 @@ func (s *server) finish(o *reqOutcome) {
 		}
 		if o.multiIntra {
 			m.multiIntraRequests.Inc()
-		}
-		if o.coalesced {
-			m.coalescedRequests.Inc()
 		}
 		if o.zeroCopy {
 			m.zeroCopyRuns.Inc()
@@ -380,9 +340,6 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 				"status", status,
 				"bytes", sr.bytes,
 				"duration", dur,
-			}
-			if batch := sr.Header().Get("X-SMP-Coalesced-Batch"); batch != "" {
-				attrs = append(attrs, "coalesce_batch", batch)
 			}
 			switch {
 			case s.slowLog > 0 && dur >= s.slowLog:

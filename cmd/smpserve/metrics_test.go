@@ -117,7 +117,6 @@ func TestMetricsReconcilesWithStats(t *testing.T) {
 		{"smpserve_index_hits_total", st.IndexHits},
 		{"smpserve_index_skips_total", st.IndexSkips},
 		{"smpserve_index_summary_skips_total", st.IndexSummarySkips},
-		{"smpserve_coalesce_batch_size_count", st.CoalesceBatches},
 		{"smpserve_plan_cache_hits_total", st.CacheHits},
 		{"smpserve_plan_cache_misses_total", st.CacheMisses},
 		{"smpserve_plan_cache_entries", int64(st.CacheSize)},
@@ -155,9 +154,10 @@ func TestMetricsReconcilesWithStats(t *testing.T) {
 // TestMetricsUnderConcurrentLoad hammers /project from several goroutines
 // while scraping /metrics concurrently, and checks the cross-counter
 // invariants inside every single exposition: failures never exceed
-// requests, and the coalesce histogram's bucket counts sum to its _count.
+// requests, and the /project latency histogram's +Inf bucket equals its
+// _count.
 func TestMetricsUnderConcurrentLoad(t *testing.T) {
-	srv, ts := coalescingServer(t, 8)
+	srv, ts := docServer(t)
 	params := "paths=" + url.QueryEscape("/*, //australia//name#")
 
 	var wg sync.WaitGroup
@@ -187,9 +187,9 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 					m["smpserve_request_failures_total"], m["smpserve_requests_total"])
 				return
 			}
-			if m[`smpserve_coalesce_batch_size_bucket{le="+Inf"}`] != m["smpserve_coalesce_batch_size_count"] {
-				scraped <- fmt.Errorf("batch histogram +Inf bucket %v != count %v",
-					m[`smpserve_coalesce_batch_size_bucket{le="+Inf"}`], m["smpserve_coalesce_batch_size_count"])
+			if m[`smpserve_http_request_seconds_bucket{endpoint="/project",le="+Inf"}`] != m[`smpserve_http_request_seconds_count{endpoint="/project"}`] {
+				scraped <- fmt.Errorf("latency histogram +Inf bucket %v != count %v",
+					m[`smpserve_http_request_seconds_bucket{endpoint="/project",le="+Inf"}`], m[`smpserve_http_request_seconds_count{endpoint="/project"}`])
 				return
 			}
 		}
@@ -200,22 +200,14 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesced: the histogram in /stats and the one in /metrics are the same
-	// instrument, bucket for bucket.
+	// Quiesced: /stats and /metrics read the same counters.
 	waitFor(t, "all 100 requests to commit", func() bool {
 		return srv.metrics.snapshot().Requests == 100
 	})
 	st := serverStats(t, ts)
 	m := scrapeMetrics(t, ts)
-	var histSum int64
-	for _, n := range st.CoalesceBatchHist {
-		histSum += n
-	}
-	if histSum != st.CoalesceBatches {
-		t.Errorf("/stats batch hist sums to %d, coalesce_batches = %d", histSum, st.CoalesceBatches)
-	}
-	if got := m["smpserve_coalesce_batch_size_count"]; got != float64(st.CoalesceBatches) {
-		t.Errorf("metrics batch count %v != stats %d", got, st.CoalesceBatches)
+	if got := m["smpserve_document_bytes_read_total"]; got != float64(st.BytesRead) || st.BytesRead != 100*int64(len(auctionDoc)) {
+		t.Errorf("bytes read: /metrics %v, /stats %d, want %d", got, st.BytesRead, 100*len(auctionDoc))
 	}
 	if st.Requests != 100 {
 		t.Errorf("requests = %d, want 100", st.Requests)
@@ -243,7 +235,7 @@ func TestIndexSummarySkipSurfaced(t *testing.T) {
 	}
 
 	params := "paths=" + url.QueryEscape("/*, //australia//description#") +
-		"&doc=" + url.QueryEscape(hashScheme+":"+hash) + "&coalesce=off"
+		"&doc=" + url.QueryEscape(hashScheme+":"+hash)
 	pr := postProject(t, ts, params, url.PathEscape(auctionDTD), "")
 	io.Copy(io.Discard, pr.Body)
 

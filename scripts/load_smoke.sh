@@ -2,15 +2,15 @@
 # load_smoke.sh [OUT.json]
 #
 # End-to-end load smoke for the serving layer: build smpserve and smpbench,
-# start the server with request coalescing and the document cache on, drive
-# it with the smpbench -serve closed-loop harness (duplicate-document
-# traffic, so the coalescer has something to merge), and append one
-# serve-mode latency point to OUT.json (default BENCH_loadsmoke.json).
+# start the server with the document cache on, drive it with the smpbench
+# -serve closed-loop harness (duplicate-document traffic: many concurrent
+# requests for one hot document), and append one serve-mode latency point
+# to OUT.json (default BENCH_loadsmoke.json).
 #
-# The harness compares every response byte-for-byte against an uncoalesced
-# reference captured from the same server, so this script is the CI gate
-# for response equivalence: any divergence between the coalesced and
-# uncoalesced paths exits non-zero.
+# The harness compares every response byte-for-byte against a reference
+# the library projects in-process, so this script is the CI gate for
+# response equivalence: any response that diverges from
+# smp.Prefilter.Project exits non-zero.
 #
 # The script also smokes the observability surface: /metrics is scraped
 # before and after the load and checked for well-formedness and counter
