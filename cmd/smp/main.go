@@ -202,9 +202,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *showStats {
 		fmt.Fprintf(stderr, "read %d bytes, wrote %d bytes (%.1f%%)\n",
 			stats.BytesRead, stats.BytesWritten, 100*stats.OutputRatio())
-		fmt.Fprintf(stderr, "states %d (%d CW + %d BM), char comparisons %.2f%%, avg shift %.2f, initial jumps %.2f%%\n",
+		fmt.Fprintf(stderr, "states %d (%d CW + %d BM), characters inspected %.2f%%, rejected matches %d\n",
 			stats.States, stats.CWStates, stats.BMStates,
-			stats.CharCompPercent(), stats.AvgShift(), stats.InitialJumpPercent())
+			stats.CharCompPercent(), stats.RejectedMatches)
 		if stats.IndexHits+stats.IndexSkips > 0 {
 			fmt.Fprintf(stderr, "index: hits %d, skips %d, summary skips %d\n",
 				stats.IndexHits, stats.IndexSkips, stats.IndexSummarySkips)

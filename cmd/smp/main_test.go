@@ -65,7 +65,7 @@ func TestRunProjectsWithPaths(t *testing.T) {
 	if string(data) != want {
 		t.Errorf("output = %q, want %q", data, want)
 	}
-	if !strings.Contains(stderr.String(), "char comparisons") {
+	if !strings.Contains(stderr.String(), "characters inspected") {
 		t.Errorf("stats output missing: %q", stderr.String())
 	}
 }

@@ -18,10 +18,10 @@
 //
 // With -coldstart the harness measures the paper's static/runtime phase
 // split directly: for each query it reports the compile time (static
-// analysis including plan construction — matcher tables, tag interning,
-// vocabulary orders), the first projection after compiling, and the
-// steady-state projection time. Because every table is built at compile
-// time, the first run should cost the same as the steady state:
+// analysis including plan construction — tag interning, scan tables), the
+// first projection after compiling, and the steady-state projection time.
+// Because every table is built at compile time, the first run should cost
+// the same as the steady state:
 //
 //	smpbench -coldstart -xmark 4MiB -queries XM1,XM13,M4
 //
@@ -793,7 +793,7 @@ func workerLadder(max int) []int {
 }
 
 // runColdStart is the -coldstart mode: for each query it times the static
-// analysis (DTD parse, table compilation, plan construction with all matcher
+// analysis (DTD parse, table compilation, plan construction with the scan
 // tables), the first projection after compiling and the steady-state
 // projection, separating the paper's static phase from its runtime phase.
 // With the Plan layer the first run pays no lazy table construction, so the
@@ -809,7 +809,7 @@ func runColdStart(ctx context.Context, cfg experiments.Config, blog *benchLog) (
 	}
 
 	t := stats.NewTable("Cold start — static analysis vs. first vs. steady-state run",
-		"Query", "Input", "Compile", "Plan Bytes", "Matchers", "First Run", "Steady Run", "First/Steady")
+		"Query", "Input", "Compile", "Plan Bytes", "First Run", "Steady Run", "First/Steady")
 	for _, id := range queryIDs {
 		q, ok := xmlgen.QueryByID(id)
 		if !ok {
@@ -881,7 +881,6 @@ func runColdStart(ctx context.Context, cfg experiments.Config, blog *benchLog) (
 				input,
 				stats.FormatDuration(compileElapsed),
 				stats.FormatBytes(ps.MemBytes),
-				strconv.Itoa(ps.SingleMatchers+ps.MultiMatchers),
 				stats.FormatDuration(first),
 				stats.FormatDuration(steady),
 				stats.FormatRatio(float64(first), float64(steady)),
@@ -889,7 +888,7 @@ func runColdStart(ctx context.Context, cfg experiments.Config, blog *benchLog) (
 		}
 		os.Remove(docFile)
 	}
-	t.AddNote("%s", "compile covers the full static analysis including plan construction (matcher tables, tag interning, vocabulary orders); the first run builds nothing lazily, so First/Steady ≈ 1 up to cache warmth; input=mmap scans the file in place with zero copies")
+	t.AddNote("%s", "compile covers the full static analysis including plan construction (tag interning, scan tables); the first run builds nothing lazily, so First/Steady ≈ 1 up to cache warmth; input=mmap scans the file in place with zero copies")
 	return t, nil
 }
 

@@ -9,7 +9,7 @@ import (
 // prefilters keyed by the (DTD source, canonical path set) pair, and merged
 // multi-query prefilters keyed by their ordered per-query sets. Compilation
 // is the expensive static analysis of the paper (DTD parse, Glushkov
-// automata, table and matcher construction); caching turns the service into
+// automata, table construction); caching turns the service into
 // compile-once, serve-many.
 //
 // Entries are weighed by an explicit byte footprint supplied at insertion,

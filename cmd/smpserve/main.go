@@ -437,7 +437,8 @@ func readBody(r *http.Request, o *reqOutcome) []byte {
 // serveBuffered projects a document held in memory into a buffer and
 // answers with Content-Length and the X-SMP-* counters as headers. Nothing
 // is written before the run ends, so a document that fails anywhere, even
-// mid-way, gets a clean 422.
+// mid-way, gets a clean 422. The outcome is committed before the body goes
+// out: a client that has read its response finds it in /stats.
 func (s *server) serveBuffered(w http.ResponseWriter, r *http.Request, o *reqOutcome, pf *smp.Prefilter, data []byte, opts ...smp.ProjectOption) {
 	var out bytes.Buffer
 	opts = append(opts, s.intraOpts(pf, int64(len(data)), o)...)
@@ -456,8 +457,10 @@ func (s *server) serveBuffered(w http.ResponseWriter, r *http.Request, o *reqOut
 	h.Set("Content-Type", "application/xml")
 	h.Set("Content-Length", strconv.Itoa(out.Len()))
 	setStatsHeaders(h, stats)
-	n, _ := out.WriteTo(w)
-	o.bytesWritten += n
+	o.bytesWritten += int64(out.Len())
+	s.finish(o)
+	// The outcome is final: a client gone mid-body leaves nothing to report.
+	out.WriteTo(w)
 }
 
 // serveStreamed projects an input of unknown or unbounded size straight

@@ -171,7 +171,7 @@ func TestProjectBadRequests(t *testing.T) {
 // TestHealthzAndStats checks the service endpoints and that repeated
 // requests for the same (DTD, paths) pair hit the prefilter cache.
 func TestHealthzAndStats(t *testing.T) {
-	srv, ts := testServer(t, 4)
+	_, ts := testServer(t, 4)
 
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -191,9 +191,6 @@ func TestHealthzAndStats(t *testing.T) {
 		r := postProject(t, ts, params, "", string(doc))
 		io.Copy(io.Discard, r.Body)
 	}
-	// A response with a Content-Length can reach the client before the
-	// handler's deferred commit of its counters.
-	waitFor(t, "every request to commit", func() bool { return srv.metrics.snapshot().Requests == 3 })
 
 	statsResp, err := ts.Client().Get(ts.URL + "/stats")
 	if err != nil {
@@ -404,7 +401,6 @@ func TestIntraDocParallelThreshold(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("parallel projection differs: %d vs %d bytes", len(got), len(want))
 	}
-	waitFor(t, "both requests to commit", func() bool { return srv.metrics.snapshot().Requests == 2 })
 
 	statsResp, err := http.Get(ts.URL + "/stats")
 	if err != nil {

@@ -206,9 +206,11 @@ func (m *metrics) snapshot() counters {
 	return c
 }
 
-// reqOutcome accumulates what happened to one request; the handler commits
-// it exactly once on exit, as a single consistent counter update.
+// reqOutcome accumulates what happened to one request; it is committed
+// exactly once, as a single consistent counter update: on the handler's
+// exit, or before a buffered body goes out.
 type reqOutcome struct {
+	committed         bool
 	failed            bool
 	cancelled         bool
 	intra             bool
@@ -237,8 +239,12 @@ func (o *reqOutcome) addRun(st smp.Stats) {
 // finish commits a request outcome in one registry Commit group. It is the
 // only place a request reaches the Requests counter, so every handler exit
 // path records exactly one completion and every scrape sees the outcome
-// entirely or not at all.
+// entirely or not at all. Later calls for the same outcome do nothing.
 func (s *server) finish(o *reqOutcome) {
+	if o.committed {
+		return
+	}
+	o.committed = true
 	m := s.metrics
 	m.reg.Commit(func() {
 		m.inFlight.Add(-1)

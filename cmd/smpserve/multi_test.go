@@ -163,13 +163,16 @@ func TestMultiProjectEndpoint(t *testing.T) {
 	if multiEntry == nil {
 		t.Fatalf("no merged cache entry in %+v", entries)
 	}
-	// Merge-aware accounting: the multi entry weighs only the union scan
-	// tables, which are far smaller than the per-query plans it references.
-	for _, e := range entries {
-		if e.Label != multiEntry.Label && multiEntry.PlanBytes >= e.PlanBytes {
-			t.Errorf("merged entry weighs %d, per-query entry %q weighs %d — merge-aware weight should be the smaller scan-only footprint",
-				multiEntry.PlanBytes, e.Label, e.PlanBytes)
-		}
+	// Merge-aware accounting: the multi entry weighs only the merged
+	// engine's tables, not the per-query plans it references, which the
+	// single entries already weigh.
+	multi, err := smp.CompileMulti(dtdSource, specs, smp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := multi.PlanStats(); multiEntry.PlanBytes != ms.ScanBytes || ms.PlanBytes == 0 {
+		t.Errorf("merged entry weighs %d, want the merged engine's %d scan bytes alone (its plans weigh %d)",
+			multiEntry.PlanBytes, ms.ScanBytes, ms.PlanBytes)
 	}
 
 	// A repeated request hits both the per-query and the merged entries.

@@ -4,11 +4,11 @@
 // and copies exactly the query-relevant parts of the document to the output.
 //
 // The package is split along the paper's static/runtime phase boundary. The
-// Plan (plan.go) holds everything that is a pure function of (DTD, paths,
-// algorithm options): the lookup tables, the precompiled string matchers,
-// interned tag strings and vocabulary orders. The engine below holds only
-// per-run state — the streaming window, the copy region and the counters —
-// and references the shared, immutable Plan.
+// Plan (plan.go) holds what every execution path shares: the lookup tables
+// and the interned tag strings. The string matchers, vocabulary orders and
+// keyword length bounds are this engine's alone (searchTables below), built
+// once per plan by NewFromPlan; the engines hold only per-run state — the
+// streaming window, the copy region and the counters.
 //
 // The engine reads the input through a forward-moving window of fixed chunk
 // size (the paper uses eight times the system page size). Within the window
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 
 	"smp/internal/compile"
@@ -80,26 +81,26 @@ type Options struct {
 
 // Prefilter executes XML prefiltering for one compiled Plan. It is safe for
 // concurrent use by multiple goroutines: all table state lives in the
-// immutable shared Plan, and each run borrows a buffer-only engine (window
-// chunk buffer plus counters) from an internal sync.Pool, so steady-state
-// runs allocate nothing but what the run itself writes.
+// immutable shared Plan and its search tables, and each run borrows a
+// buffer-only engine (window chunk buffer plus counters) from an internal
+// sync.Pool, so steady-state runs allocate nothing but what the run itself
+// writes.
 type Prefilter struct {
 	plan *Plan
 	pool sync.Pool // of *engine
 }
 
-// New compiles a Plan from the table and wraps it in a prefilter. The plan —
-// matcher tables, interned tag strings, vocabulary orders — is built here,
-// once; no matcher construction happens on the project path.
+// New compiles a Plan from the table and wraps it in a prefilter.
 func New(table *compile.Table, opts Options) *Prefilter {
 	return NewFromPlan(NewPlan(table, opts))
 }
 
-// NewFromPlan wraps an existing Plan in a prefilter, sharing the plan's
-// tables rather than rebuilding them. Any number of prefilters (e.g. one per
-// corpus worker) may share one Plan; per-engine memory is then bounded by
-// the window buffers alone, independent of the table size.
+// NewFromPlan wraps an existing Plan in a prefilter. The first call for a
+// plan builds the engine's string-matcher tables; later ones share them, so
+// no matcher construction happens on the project path and any number of
+// prefilters (e.g. one per corpus worker) hold one copy of the tables.
 func NewFromPlan(plan *Plan) *Prefilter {
+	plan.searchOnce.Do(func() { plan.search = newSearchTables(plan.table, plan.opts) })
 	p := &Prefilter{plan: plan}
 	p.pool.New = func() interface{} {
 		return &engine{
@@ -108,6 +109,112 @@ func NewFromPlan(plan *Plan) *Prefilter {
 		}
 	}
 	return p
+}
+
+// searchTables are the Fig. 4 engine's string-matcher tables, a pure
+// function of the automaton and the algorithm options. The production
+// pipeline runs an anchored scan instead and never builds them.
+type searchTables struct {
+	// single and multi hold the matcher of each state, indexed by state ID
+	// (exactly one of the two is non-nil for states with a vocabulary).
+	single []stringmatch.Matcher
+	multi  []stringmatch.MultiMatcher
+	// vocabOrder[q] lists state q's vocabulary indices sorted by descending
+	// keyword length (verifyAt consults this order on every candidate).
+	vocabOrder [][]int
+	// minKw and maxKw are the keyword length bounds of each state's
+	// vocabulary.
+	minKw, maxKw []int
+	// built counts the matcher tables (Stats.MatchersBuilt).
+	built int
+}
+
+// newSearchTables builds the matcher of every state with a vocabulary and
+// derives the vocabulary orders and keyword length bounds.
+func newSearchTables(table *compile.Table, opts Options) *searchTables {
+	n := len(table.States)
+	t := &searchTables{
+		single:     make([]stringmatch.Matcher, n),
+		multi:      make([]stringmatch.MultiMatcher, n),
+		vocabOrder: make([][]int, n),
+		minKw:      make([]int, n),
+		maxKw:      make([]int, n),
+	}
+	for _, st := range table.States {
+		q := st.ID
+		t.minKw[q], t.maxKw[q] = keywordLengths(st)
+		t.vocabOrder[q] = vocabularyByLength(st)
+		switch {
+		case len(st.Vocabulary) == 1:
+			t.single[q] = newSingleMatcher(opts.Single, []byte(st.Vocabulary[0].Keyword))
+			t.built++
+		case len(st.Vocabulary) > 1:
+			patterns := make([][]byte, len(st.Vocabulary))
+			for i, k := range st.Vocabulary {
+				patterns[i] = []byte(k.Keyword)
+			}
+			t.multi[q] = newMultiMatcher(opts.Multi, patterns)
+			t.built++
+		}
+	}
+	return t
+}
+
+// newSingleMatcher constructs the configured single-keyword matcher.
+func newSingleMatcher(alg SingleAlgorithm, pattern []byte) stringmatch.Matcher {
+	switch alg {
+	case SingleHorspool:
+		return stringmatch.NewHorspool(pattern)
+	case SingleNaive:
+		return stringmatch.NewNaive(pattern)
+	default:
+		return stringmatch.NewBoyerMoore(pattern)
+	}
+}
+
+// newMultiMatcher constructs the configured multi-keyword matcher.
+func newMultiMatcher(alg MultiAlgorithm, patterns [][]byte) stringmatch.MultiMatcher {
+	switch alg {
+	case MultiAhoCorasick:
+		return stringmatch.NewAhoCorasick(patterns)
+	case MultiSetHorspool:
+		return stringmatch.NewSetHorspool(patterns)
+	case MultiNaive:
+		return stringmatch.NewNaiveMulti(patterns)
+	default:
+		return stringmatch.NewCommentzWalter(patterns)
+	}
+}
+
+// keywordLengths returns the minimum and maximum keyword length of a state's
+// vocabulary.
+func keywordLengths(st *compile.State) (min, max int) {
+	min, max = 1<<30, 0
+	for _, k := range st.Vocabulary {
+		if len(k.Keyword) < min {
+			min = len(k.Keyword)
+		}
+		if len(k.Keyword) > max {
+			max = len(k.Keyword)
+		}
+	}
+	if max == 0 {
+		min = 0
+	}
+	return min, max
+}
+
+// vocabularyByLength returns the vocabulary indices of a state sorted by
+// descending keyword length (longest first, for prefix disambiguation).
+func vocabularyByLength(st *compile.State) []int {
+	order := make([]int, len(st.Vocabulary))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return len(st.Vocabulary[order[a]].Keyword) > len(st.Vocabulary[order[b]].Keyword)
+	})
+	return order
 }
 
 // Table returns the compiled runtime automaton the prefilter executes.
@@ -385,7 +492,7 @@ func TagTooLongError(tagStart int64) error {
 // findNext locates the next verified occurrence of any frontier keyword of
 // state q at or after the absolute offset from.
 func (e *engine) findNext(q int, st *compile.State, from int64) (pos int64, kwIdx int, found bool, err error) {
-	minKw, maxKw := e.plan.minKw[q], e.plan.maxKw[q]
+	minKw, maxKw := e.plan.search.minKw[q], e.plan.search.maxKw[q]
 	searchFrom := from
 	for {
 		if !e.win.ensure(searchFrom + int64(minKw) - 1) {
@@ -400,11 +507,11 @@ func (e *engine) findNext(q int, st *compile.State, from int64) (pos int64, kwId
 		}
 
 		var p, k int
-		if m := e.plan.single[q]; m != nil {
+		if m := e.plan.search.single[q]; m != nil {
 			p = m.Next(text, rel, &e.match)
 			k = 0
 		} else {
-			p, k = e.plan.multi[q].Next(text, rel, &e.match)
+			p, k = e.plan.search.multi[q].Next(text, rel, &e.match)
 		}
 		if p >= 0 {
 			abs := e.win.base + int64(p)
@@ -447,7 +554,7 @@ func (e *engine) findNext(q int, st *compile.State, from int64) (pos int64, kwId
 // opening tags) '/'. Among several matching keywords the longest wins, which
 // resolves tagname-prefix collisions such as Abstract/AbstractText.
 func (e *engine) verifyAt(q int, st *compile.State, pos int64, reported int) (int, bool, error) {
-	for _, idx := range e.plan.vocabOrder[q] {
+	for _, idx := range e.plan.search.vocabOrder[q] {
 		kw := st.Vocabulary[idx]
 		end := pos + int64(len(kw.Keyword))
 		if !e.win.ensure(end) {
@@ -571,14 +678,16 @@ func (e *engine) writeString(s string) {
 	}
 }
 
-// finishStats folds the run's matcher counters and the plan sizes into the
-// run stats.
+// finishStats folds the run's matcher counters and the table sizes into
+// the run stats.
 func (e *engine) finishStats() {
-	e.stats.addMatcher(e.match)
+	e.stats.CharComparisons += e.match.Comparisons
+	e.stats.Shifts += e.match.Shifts
+	e.stats.ShiftTotal += e.match.ShiftTotal
 	e.stats.BytesRead = e.win.bytesRead
 	e.stats.States = e.plan.table.Stats.States
 	e.stats.CWStates = e.plan.table.Stats.CWStates
 	e.stats.BMStates = e.plan.table.Stats.BMStates
-	e.stats.MatchersBuilt = e.plan.MatcherCount()
+	e.stats.MatchersBuilt = e.plan.search.built
 	e.stats.MaxBufferBytes = int64(e.win.maxBuffer)
 }

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"sort"
+	"sync"
 
 	"smp/internal/compile"
-	"smp/internal/stringmatch"
 )
 
 // Plan is the immutable execution plan of one compiled prefilter: the
-// runtime automaton (tables A, V, J, T) together with everything the runtime
-// scan needs that is a pure function of (DTD, paths, algorithm options) —
-// the string-matcher tables of every state, the interned tag serializations,
-// the per-state vocabulary orders and the keyword length bounds.
+// runtime automaton (tables A, V, J, T) together with what the production
+// path needs that is a pure function of (DTD, paths, options) — the
+// interned tag serializations. The Fig. 4 engine's string-matcher tables
+// are not part of it: only that engine reads them, so only NewFromPlan
+// builds them, once per plan (see searchTables in engine.go).
 //
 // The paper frames prefiltering as a static analysis followed by a cheap
 // runtime scan; the Plan is the static half materialized. It is built once
@@ -24,22 +24,17 @@ type Plan struct {
 	table *compile.Table
 	opts  Options
 
-	// single and multi hold the matcher of each state, indexed by state ID
-	// (exactly one of the two is non-nil for states with a vocabulary).
-	single []stringmatch.Matcher
-	multi  []stringmatch.MultiMatcher
-	// vocabOrder[q] lists state q's vocabulary indices sorted by descending
-	// keyword length (verifyAt consults this order on every candidate).
-	vocabOrder [][]int
-	// minKw and maxKw are the keyword length bounds of each state's
-	// vocabulary.
-	minKw, maxKw []int
 	// stateTags holds the interned tag serializations indexed by the ID of
 	// the state a tag enters (states entered by the same label share one
 	// instance), so the output path is a slice index, not a map lookup.
 	stateTags []*tagStrings
 
 	stats PlanStats
+
+	// search is built by the first NewFromPlan and nil on plans that only
+	// the production pipeline runs.
+	searchOnce sync.Once
+	search     *searchTables
 }
 
 // PlanStats reports the size and footprint of a compiled Plan, i.e. of
@@ -47,21 +42,14 @@ type Plan struct {
 type PlanStats struct {
 	// States is the number of runtime-automaton states.
 	States int
-	// SingleMatchers and MultiMatchers count the precompiled Boyer-Moore
-	// (family) and Commentz-Walter (family) matcher tables.
-	SingleMatchers int
-	MultiMatchers  int
 	// TagStrings is the number of distinct interned tag labels.
 	TagStrings int
-	// MatcherBytes is the approximate footprint of the matcher tables.
-	MatcherBytes int64
 	// TableBytes is the approximate footprint of the compiled runtime
 	// automaton the plan retains (transitions, vocabularies, diagnostics).
 	TableBytes int64
 	// MemBytes is the approximate total footprint of the plan: the
-	// automaton, the matcher tables, the interned tag strings and the
-	// per-state order slices — everything a cache entry pins per compiled
-	// prefilter.
+	// automaton and the interned tag strings — everything a cache entry
+	// pins per compiled prefilter.
 	MemBytes int64
 }
 
@@ -74,77 +62,47 @@ type tagStrings struct {
 }
 
 // NewPlan precompiles the immutable execution plan for a runtime automaton:
-// it builds the matcher of every state, interns the tag strings and derives
-// the vocabulary orders, so no engine ever constructs tables on the project
+// it interns the tag strings, so no engine ever builds one on the project
 // path. opts.ChunkSize is normalized here, making the plan's Options final.
 func NewPlan(table *compile.Table, opts Options) *Plan {
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = DefaultChunkSize
 	}
 	n := len(table.States)
-	p := &Plan{
-		table:      table,
-		opts:       opts,
-		single:     make([]stringmatch.Matcher, n),
-		multi:      make([]stringmatch.MultiMatcher, n),
-		vocabOrder: make([][]int, n),
-		minKw:      make([]int, n),
-		maxKw:      make([]int, n),
-		stateTags:  make([]*tagStrings, n),
-	}
+	p := &Plan{table: table, opts: opts, stateTags: make([]*tagStrings, n)}
 	// tags interns one tagStrings per label during construction only; the
 	// plan itself keeps just the per-state slice.
 	tags := make(map[string]*tagStrings)
 	for _, st := range table.States {
-		q := st.ID
-		p.minKw[q], p.maxKw[q] = keywordLengths(st)
-		switch {
-		case len(st.Vocabulary) == 1:
-			p.single[q] = newSingleMatcher(opts.Single, []byte(st.Vocabulary[0].Keyword))
-			p.stats.SingleMatchers++
-			p.stats.MatcherBytes += p.single[q].MemSize()
-		case len(st.Vocabulary) > 1:
-			patterns := make([][]byte, len(st.Vocabulary))
-			for i, k := range st.Vocabulary {
-				patterns[i] = []byte(k.Keyword)
-			}
-			p.multi[q] = newMultiMatcher(opts.Multi, patterns)
-			p.stats.MultiMatchers++
-			p.stats.MatcherBytes += p.multi[q].MemSize()
+		if st.Label == "" {
+			continue
 		}
-		p.vocabOrder[q] = vocabularyByLength(st)
-		if st.Label != "" {
-			t, ok := tags[st.Label]
-			if !ok {
-				t = &tagStrings{
-					open:     "<" + st.Label + ">",
-					close:    "</" + st.Label + ">",
-					bachelor: "<" + st.Label + "/>",
-				}
-				t.openB, t.closeB, t.bachelorB = []byte(t.open), []byte(t.close), []byte(t.bachelor)
-				tags[st.Label] = t
+		t, ok := tags[st.Label]
+		if !ok {
+			t = &tagStrings{
+				open:     "<" + st.Label + ">",
+				close:    "</" + st.Label + ">",
+				bachelor: "<" + st.Label + "/>",
 			}
-			p.stateTags[q] = t
+			t.openB, t.closeB, t.bachelorB = []byte(t.open), []byte(t.close), []byte(t.bachelor)
+			tags[st.Label] = t
 		}
+		p.stateTags[st.ID] = t
 	}
 	p.stats.States = n
 	p.stats.TagStrings = len(tags)
 	p.stats.TableBytes = tableSize(table)
-	p.stats.MemBytes = p.stats.MatcherBytes + p.stats.TableBytes
+	p.stats.MemBytes = p.stats.TableBytes
 	for label := range tags {
 		// open + close + bachelor serializations, as strings and as byte
 		// slices: 3 labels plus 7 brackets each.
 		p.stats.MemBytes += 2 * int64(3*len(label)+7)
 	}
-	for q := range p.vocabOrder {
-		p.stats.MemBytes += int64(8 * len(p.vocabOrder[q]))
-	}
 	return p
 }
 
 // tableSize estimates the memory retained by the compiled runtime automaton
-// itself — the part of a prefilter's footprint that exists before any
-// matcher is built. Cache implementations that weigh entries must count it:
+// itself. Cache implementations that weigh entries must count it:
 // for large DTDs the transition maps and diagnostic branches dominate.
 func tableSize(table *compile.Table) int64 {
 	var size int64
@@ -203,63 +161,3 @@ func (p *Plan) Options() Options { return p.opts }
 
 // Stats returns the plan's size and footprint counters.
 func (p *Plan) Stats() PlanStats { return p.stats }
-
-// MatcherCount returns the number of precompiled matcher tables.
-func (p *Plan) MatcherCount() int { return p.stats.SingleMatchers + p.stats.MultiMatchers }
-
-// newSingleMatcher constructs the configured single-keyword matcher.
-func newSingleMatcher(alg SingleAlgorithm, pattern []byte) stringmatch.Matcher {
-	switch alg {
-	case SingleHorspool:
-		return stringmatch.NewHorspool(pattern)
-	case SingleNaive:
-		return stringmatch.NewNaive(pattern)
-	default:
-		return stringmatch.NewBoyerMoore(pattern)
-	}
-}
-
-// newMultiMatcher constructs the configured multi-keyword matcher.
-func newMultiMatcher(alg MultiAlgorithm, patterns [][]byte) stringmatch.MultiMatcher {
-	switch alg {
-	case MultiAhoCorasick:
-		return stringmatch.NewAhoCorasick(patterns)
-	case MultiSetHorspool:
-		return stringmatch.NewSetHorspool(patterns)
-	case MultiNaive:
-		return stringmatch.NewNaiveMulti(patterns)
-	default:
-		return stringmatch.NewCommentzWalter(patterns)
-	}
-}
-
-// keywordLengths returns the minimum and maximum keyword length of a state's
-// vocabulary.
-func keywordLengths(st *compile.State) (min, max int) {
-	min, max = 1<<30, 0
-	for _, k := range st.Vocabulary {
-		if len(k.Keyword) < min {
-			min = len(k.Keyword)
-		}
-		if len(k.Keyword) > max {
-			max = len(k.Keyword)
-		}
-	}
-	if max == 0 {
-		min = 0
-	}
-	return min, max
-}
-
-// vocabularyByLength returns the vocabulary indices of a state sorted by
-// descending keyword length (longest first, for prefix disambiguation).
-func vocabularyByLength(st *compile.State) []int {
-	order := make([]int, len(st.Vocabulary))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return len(st.Vocabulary[order[a]].Keyword) > len(st.Vocabulary[order[b]].Keyword)
-	})
-	return order
-}

@@ -12,15 +12,19 @@ import (
 	"smp/internal/xmlgen"
 )
 
-// TestNewFromPlanSharesTables checks the tentpole invariant of the Plan
-// layer: prefilters built from one plan share the same matcher tables and
-// interned strings (pointer-identical plan) and still project correctly.
+// TestNewFromPlanSharesTables checks the invariant of the Plan layer:
+// prefilters built from one plan share its automaton, interned strings and
+// the Fig. 4 engine's matcher tables (pointer-identical plan), and still
+// project correctly.
 func TestNewFromPlanSharesTables(t *testing.T) {
 	table, err := compile.Compile(dtd.MustParse(fig1DTD), paths.MustParseSet("/*, //australia//description#"), compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := NewPlan(table, Options{})
+	if plan.search != nil {
+		t.Fatal("NewPlan built the Fig. 4 engine's search tables")
+	}
 	p1 := NewFromPlan(plan)
 	p2 := NewFromPlan(plan)
 	if p1.Plan() != p2.Plan() {
@@ -45,11 +49,10 @@ func TestNewFromPlanSharesTables(t *testing.T) {
 	if ps.States != table.Stats.States {
 		t.Errorf("PlanStats.States = %d, want %d", ps.States, table.Stats.States)
 	}
-	if ps.SingleMatchers != table.Stats.BMStates || ps.MultiMatchers != table.Stats.CWStates {
-		t.Errorf("PlanStats matchers = %d single + %d multi, want %d + %d",
-			ps.SingleMatchers, ps.MultiMatchers, table.Stats.BMStates, table.Stats.CWStates)
+	if got, want := plan.search.built, table.Stats.BMStates+table.Stats.CWStates; got != want {
+		t.Errorf("search tables hold %d matchers, want %d", got, want)
 	}
-	if ps.MemBytes <= 0 || ps.MatcherBytes <= 0 || ps.MemBytes < ps.MatcherBytes {
+	if ps.TableBytes <= 0 || ps.MemBytes <= ps.TableBytes {
 		t.Errorf("PlanStats footprint inconsistent: %+v", ps)
 	}
 	if ps.TagStrings == 0 {

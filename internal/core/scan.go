@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"smp/internal/glushkov"
-	"smp/internal/stringmatch"
 )
 
 // This file is the core half of the unified parallel projection pipeline
@@ -261,25 +260,28 @@ func (sp *ScanPlan) KeywordCount() int { return sp.count }
 // and not safe for concurrent use: give each worker goroutine its own.
 type SegmentScanner struct {
 	sp *ScanPlan
-	// match accumulates the string matchers' counters across Scan calls.
-	match stringmatch.Counters
 	// inspected counts the characters examined by verification and
-	// tag-end scanning, the scan-side analogue of the serial engine's
-	// non-matcher CharComparisons.
+	// tag-end scanning. It does not depend on the kernel: every kernel
+	// verifies the same anchors, those with a non-empty bucket.
 	inspected int64
 	// rejected counts raw keyword matches whose terminator check failed
 	// (the scan-side analogue of the serial engine's RejectedMatches).
 	rejected int64
+	// scanned counts the owned bytes of every Scan call.
+	scanned int64
+	// The counters are written on every verified anchor: the padding keeps
+	// the scanners of parallel workers off each other's cache lines.
+	_ [32]byte
 }
 
 // NewScanner returns a fresh scanner over the plan's union vocabulary.
 func (sp *ScanPlan) NewScanner() *SegmentScanner { return &SegmentScanner{sp: sp} }
 
 // Counters returns the instrumentation accumulated across all Scan calls:
-// the string-matcher counters, the verification/tag-scan characters
-// examined, and the rejected raw matches.
-func (s *SegmentScanner) Counters() (m stringmatch.Counters, inspected, rejected int64) {
-	return s.match, s.inspected, s.rejected
+// the verification/tag-scan characters examined, the rejected raw matches
+// and the owned bytes scanned.
+func (s *SegmentScanner) Counters() (inspected, rejected, scanned int64) {
+	return s.inspected, s.rejected, s.scanned
 }
 
 // Scan appends to dst every candidate whose keyword starts within the owned
@@ -307,6 +309,7 @@ func (s *SegmentScanner) Scan(dst []Candidate, data []byte, base int64, owned in
 	if s.sp.count == 0 || owned <= 0 {
 		return dst
 	}
+	s.scanned += int64(owned)
 	if useScalarKernel {
 		return s.scanScalar(dst, data, base, owned, final)
 	}
@@ -340,6 +343,7 @@ func (s *SegmentScanner) ScanScalar(dst []Candidate, data []byte, base int64, ow
 	if s.sp.count == 0 || owned <= 0 {
 		return dst
 	}
+	s.scanned += int64(owned)
 	return s.scanScalar(dst, data, base, owned, final)
 }
 
@@ -353,11 +357,6 @@ func (s *SegmentScanner) scanScalar(dst []Candidate, data []byte, base int64, ow
 			break
 		}
 		pos := i + j
-		// The hop between anchors is the scan-side analogue of a matcher
-		// shift; the anchor byte itself is one inspected character.
-		s.match.Shifts++
-		s.match.ShiftTotal += int64(j + 1)
-		s.match.Comparisons++
 		if c, ok := s.verifyScalar(data, base, pos, final); ok {
 			dst = append(dst, c)
 		}

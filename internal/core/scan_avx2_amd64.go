@@ -12,22 +12,20 @@ package core
 // a []uint32 with unconditional TZCNT/BLSR stores (simdjson's bit
 // flattening; Langdale & Lemire, VLDB J. 2019), and Go verifies only those.
 //
-// A dropped anchor is exactly one that the SWAR and scalar kernels count as
-// one Shift and one Comparison and nothing else, so the filter returns the
-// block popcount and the last anchor position and the counters stay
+// A dropped anchor is exactly one that the SWAR and scalar kernels look up
+// and find an empty bucket for, inspecting nothing, so the counters stay
 // identical across all three kernels.
 
 // filterAnchorsAVX2 scans the 64-byte blocks of data[:limit] for '<'
 // anchors (limit+2 <= len(data), so the loads at +1 and +2 stay in data).
 // It writes the positions of the anchors that pass the nibble tables tab to
-// out and returns how many it wrote (n), the offset of the first block it
-// did not scan (next), the number of anchors in the scanned blocks and the
-// position of the last one (-1 if none). It stops early, at a block
-// boundary, once out has room for fewer than 64 more positions. Positions
-// are relative to data[0]; callers keep limit below 1<<32.
+// out and returns how many it wrote (n) and the offset of the first block it
+// did not scan (next). It stops early, at a block boundary, once out has
+// room for fewer than 64 more positions. Positions are relative to data[0];
+// callers keep limit below 1<<32.
 //
 //go:noescape
-func filterAnchorsAVX2(data []byte, limit int, tab *[128]byte, out []uint32) (n, next, anchors, last int)
+func filterAnchorsAVX2(data []byte, limit int, tab *[128]byte, out []uint32) (n, next int)
 
 // cpuid and xgetbv execute the instructions of the same name.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -74,14 +72,9 @@ func (s *SegmentScanner) scanAVX2(dst []Candidate, data []byte, base int64, owne
 func (s *SegmentScanner) scanAVX2Span(dst []Candidate, data []byte, base int64, owned int, final bool, span int) []Candidate {
 	var buf [filterBufLen]uint32
 	limit := min(owned, len(data)-2)
-	anchors, last := int64(0), -1
 	w := 0
 	for w+64 <= limit {
-		n, next, a, l := filterAnchorsAVX2(data[w:], min(limit-w, span), &s.sp.nibbles, buf[:])
-		if a > 0 {
-			anchors += int64(a)
-			last = w + l
-		}
+		n, next := filterAnchorsAVX2(data[w:], min(limit-w, span), &s.sp.nibbles, buf[:])
 		for _, p := range buf[:n] {
 			pos := w + int(p)
 			if pos+8 > len(data) {
@@ -97,5 +90,5 @@ func (s *SegmentScanner) scanAVX2Span(dst []Candidate, data []byte, base int64, 
 		}
 		w += next
 	}
-	return s.scanSWARFrom(dst, data, base, owned, final, w, anchors, last)
+	return s.scanSWARFrom(dst, data, base, owned, final, w)
 }

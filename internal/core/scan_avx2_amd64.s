@@ -3,13 +3,13 @@
 #include "textflag.h"
 
 // FILTER32 filters the 32 anchor candidates at data[w+off:w+off+32] (SI =
-// data, CX = w): the '<' lanes go to the anchor bits amask, and the '<'
-// lanes whose bucket may be non-empty to the survivor bits smask. A lane's
+// data, CX = w): the '<' lanes whose bucket may be non-empty go to the
+// survivor bits smask. A lane's
 // bucket byte is the byte after the '<', or after "</" the byte after the
 // slash; each is tested with two VPSHUFB nibble lookups (Y12/Y11 for
 // opening keywords, Y10/Y9 for closing ones) whose AND is non-zero exactly
 // when the nibble tables admit the byte.
-#define FILTER32(off, off1, off2, amask, smask) \
+#define FILTER32(off, off1, off2, smask) \
 	VMOVDQU  off(SI)(CX*1), Y0;  \
 	VMOVDQU  off1(SI)(CX*1), Y1; \
 	VMOVDQU  off2(SI)(CX*1), Y2; \
@@ -30,7 +30,6 @@
 	VPBLENDVB Y1, Y5, Y3, Y3;    \
 	VPCMPEQB Y8, Y3, Y3;         \
 	VPANDN   Y0, Y3, Y3;         \
-	VPMOVMSKB Y0, amask;         \
 	VPMOVMSKB Y3, smask
 
 // STORE1 writes the position of the lowest survivor bit of R12 to out[BX+k]
@@ -42,8 +41,8 @@
 	MOVL   AX, k(DI)(BX*4); \
 	BLSRQ  R12, R12
 
-// func filterAnchorsAVX2(data []byte, limit int, tab *[128]byte, out []uint32) (n, next, anchors, last int)
-TEXT ·filterAnchorsAVX2(SB), NOSPLIT, $0-96
+// func filterAnchorsAVX2(data []byte, limit int, tab *[128]byte, out []uint32) (n, next int)
+TEXT ·filterAnchorsAVX2(SB), NOSPLIT, $0-80
 	MOVQ data_base+0(FP), SI
 	MOVQ limit+24(FP), DX
 	MOVQ tab+32(FP), AX
@@ -65,10 +64,8 @@ TEXT ·filterAnchorsAVX2(SB), NOSPLIT, $0-96
 	VPBROADCASTB X13, Y13
 	VPXOR   Y8, Y8, Y8
 
-	XORQ BX, BX   // survivors written
-	XORQ CX, CX   // block offset w
-	XORQ R9, R9   // anchors seen
-	MOVQ $-1, R10 // last anchor position
+	XORQ BX, BX // survivors written
+	XORQ CX, CX // block offset w
 
 loop:
 	LEAQ 64(CX), AX
@@ -78,20 +75,10 @@ loop:
 	CMPQ AX, R8
 	JGT  done
 
-	FILTER32(0, 1, 2, R11, R12)
-	FILTER32(32, 33, 34, AX, R13)
-	SHLQ $32, AX
-	ORQ  AX, R11
+	FILTER32(0, 1, 2, R12)
+	FILTER32(32, 33, 34, R13)
 	SHLQ $32, R13
 	ORQ  R13, R12
-
-	// Anchor accounting: the popcount, and the highest anchor bit as the
-	// last position (kept when the block has no anchor: BSR sets ZF).
-	POPCNTQ R11, AX
-	ADDQ    AX, R9
-	BSRQ    R11, AX
-	LEAQ    (AX)(CX*1), AX
-	CMOVQNE AX, R10
 
 	// Survivor positions: four unconditional stores cover most blocks.
 	POPCNTQ R12, R13
@@ -125,8 +112,6 @@ done:
 	VZEROUPPER
 	MOVQ BX, n+64(FP)
 	MOVQ CX, next+72(FP)
-	MOVQ R9, anchors+80(FP)
-	MOVQ R10, last+88(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -20,7 +20,7 @@ import (
 // (scanScalar): it reports the same candidates in the same order with the
 // same counters. It is the portable kernel Scan runs wherever the AVX2
 // kernel (scan_avx2_amd64.go) does not, and the AVX2 kernel shares its
-// verifier, its tail loops and its counter flush (scanSWARFrom).
+// verifier and its tail loops (scanSWARFrom).
 // FuzzScanEquivalence and TestScanSWAREquivalence difference every kernel
 // against the reference candidate-for-candidate; SMP_SCAN_KERNEL=scalar
 // selects the reference kernel at run time (smpbench -scan reports both).
@@ -70,26 +70,15 @@ func zeroLanes(x uint64) uint64 {
 }
 
 // scanSWAR is the multi-anchor kernel: one load per 8 input bytes, one
-// trailing-zeros step per anchor. Counters mirror the scalar anchor hop
-// exactly — Shifts counts anchors, ShiftTotal the hop distances, and
-// Comparisons the anchor bytes themselves — so the two kernels stay
-// differenceable down to the instrumentation.
+// trailing-zeros step per anchor.
 func (s *SegmentScanner) scanSWAR(dst []Candidate, data []byte, base int64, owned int, final bool) []Candidate {
-	return s.scanSWARFrom(dst, data, base, owned, final, 0, 0, -1)
+	return s.scanSWARFrom(dst, data, base, owned, final, 0)
 }
 
 // scanSWARFrom runs the SWAR kernel over the owned bytes from offset w on,
-// continuing the anchor accounting of whatever scanned data[:w]: anchors is
-// the number of anchors seen so far and last the position of the latest (-1
-// for none). It flushes every counter once at the end, so a kernel that
-// hands its tail here (the AVX2 filter) shares the tail loops and the flush.
-func (s *SegmentScanner) scanSWARFrom(dst []Candidate, data []byte, base int64, owned int, final bool, w int, anchors int64, last int) []Candidate {
-	// The anchor counters are kept in locals and flushed once: per-anchor
-	// read-modify-writes on s.match would dominate the loop. Shifts and
-	// Comparisons both advance once per anchor, and the hop distances
-	// telescope — the sum of (pos-i+1) over all anchors is simply the last
-	// anchor position plus one.
-	//
+// so a kernel that hands its tail here (the AVX2 filter) shares the tail
+// loops.
+func (s *SegmentScanner) scanSWARFrom(dst []Candidate, data []byte, base int64, owned int, final bool, w int) []Candidate {
 	// 64-byte blocks: eight independent load/compare chains packed into one
 	// per-block anchor bitmask (bit k = anchor at data[w+k]), so the only
 	// data-dependent branch is the anchor iteration itself — one short,
@@ -107,11 +96,6 @@ func (s *SegmentScanner) scanSWARFrom(dst []Candidate, data []byte, base int64, 
 			w += 64
 			continue
 		}
-		// The whole block's anchor accounting comes from the mask itself:
-		// one popcount instead of a counter bump per anchor, and the last
-		// anchor is the mask's highest bit.
-		anchors += int64(bits.OnesCount64(m))
-		last = w + 63 - bits.LeadingZeros64(m)
 		for ; m != 0; m &= m - 1 {
 			pos := w + bits.TrailingZeros64(m)
 			if pos+8 > len(data) {
@@ -131,25 +115,15 @@ func (s *SegmentScanner) scanSWARFrom(dst []Candidate, data []byte, base int64, 
 		for m != 0 {
 			pos := w + bits.TrailingZeros64(m)>>3
 			m &= m - 1
-			anchors++
-			last = pos
 			dst = s.verifySWAR(dst, data, base, pos, final)
 		}
 		w += 8
 	}
 	// Anchors in the final sub-8-byte tail of the owned range.
 	for pos := w; pos < owned; pos++ {
-		if data[pos] != '<' {
-			continue
+		if data[pos] == '<' {
+			dst = s.verifySWAR(dst, data, base, pos, final)
 		}
-		anchors++
-		last = pos
-		dst = s.verifySWAR(dst, data, base, pos, final)
-	}
-	if anchors > 0 {
-		s.match.Shifts += anchors
-		s.match.Comparisons += anchors
-		s.match.ShiftTotal += int64(last + 1)
 	}
 	return dst
 }

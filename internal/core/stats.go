@@ -3,29 +3,36 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"smp/internal/stringmatch"
 )
 
-// Stats collects the runtime counters behind the columns of the paper's
-// Tables I and II.
+// Stats collects the runtime counters of one run: on the paper's Fig. 4
+// engine the columns of its Tables I and II, on the production pipeline
+// what its scan kernels and replays do.
 type Stats struct {
 	// BytesRead is the document size in bytes (the window reads everything;
 	// only a fraction is inspected).
 	BytesRead int64
 	// BytesWritten is the size of the projected output ("Proj. Size").
 	BytesWritten int64
-	// CharComparisons is the number of characters inspected: string-matcher
-	// comparisons plus the characters examined while scanning for tag ends
-	// and verifying matches ("Char Comp.").
+	// CharComparisons is the number of characters inspected ("Char
+	// Comp."). On the Fig. 4 engine: string-matcher comparisons plus the
+	// characters examined while verifying matches and scanning for tag
+	// ends. On the production pipeline: the characters its keyword
+	// verification and tag-end scans examine — the same on every scan
+	// kernel; the '<' anchors the kernels find are not counted.
 	CharComparisons int64
+	// BytesScanned is the production scan's work: the bytes its kernels
+	// covered, summed over the segments they scanned. Zero on the Fig. 4
+	// engine and on runs replayed from an index.
+	BytesScanned int64
 	// InitialJumpBytes is the number of characters skipped by initial jump
-	// offsets alone ("Initial Jumps").
+	// offsets alone ("Initial Jumps"); Shifts and ShiftTotal accumulate the
+	// forward shifts performed by the string matchers ("Ø Shift Size").
+	// Only the Fig. 4 engine skips or shifts: the production pipeline
+	// leaves all three zero.
 	InitialJumpBytes int64
-	// Shifts and ShiftTotal accumulate the forward shifts performed by the
-	// string matchers ("Ø Shift Size").
-	Shifts     int64
-	ShiftTotal int64
+	Shifts           int64
+	ShiftTotal       int64
 	// TagsMatched counts tag tokens the runtime automaton consumed.
 	TagsMatched int64
 	// RejectedMatches counts keyword occurrences discarded by the
@@ -38,8 +45,9 @@ type Stats struct {
 	States   int
 	CWStates int
 	BMStates int
-	// MatchersBuilt counts the matcher tables of the shared compiled Plan.
-	// They are built once, at compile time; no run ever constructs one.
+	// MatchersBuilt counts the Fig. 4 engine's matcher tables, built once
+	// per plan by core.NewFromPlan; no run ever constructs one. The
+	// production pipeline builds none and leaves it zero.
 	MatchersBuilt int
 	// MaxBufferBytes is the high-water mark of the streaming window — the
 	// per-run memory. The shared table memory is reported separately by
@@ -124,6 +132,7 @@ func (s *Stats) Add(other Stats) {
 	s.BytesRead += other.BytesRead
 	s.BytesWritten += other.BytesWritten
 	s.CharComparisons += other.CharComparisons
+	s.BytesScanned += other.BytesScanned
 	s.InitialJumpBytes += other.InitialJumpBytes
 	s.Shifts += other.Shifts
 	s.ShiftTotal += other.ShiftTotal
@@ -143,13 +152,6 @@ func (s *Stats) Add(other Stats) {
 	s.ScanDuration += other.ScanDuration
 	s.ReplayDuration += other.ReplayDuration
 	s.StitchDuration += other.StitchDuration
-}
-
-// addMatcher accumulates the run's string-matcher counters.
-func (s *Stats) addMatcher(m stringmatch.Counters) {
-	s.CharComparisons += m.Comparisons
-	s.Shifts += m.Shifts
-	s.ShiftTotal += m.ShiftTotal
 }
 
 // String renders the stats in the shape of one Table I column.

@@ -58,7 +58,9 @@ func (k *qrun) live() bool { return !k.done && k.err == nil }
 // enter moves the query to state q: it re-resolves the state pointer,
 // completes the query if no vocabulary remains (the state is final by
 // construction), and applies the state's initial jump (table J) — the same
-// order as the serial engine's run loop head.
+// order as the serial engine's run loop head. The jump only moves the
+// cursor past candidates the scan already found, so no skipped bytes are
+// counted.
 func (k *qrun) enter(q int) {
 	k.q = q
 	k.st = k.table.State(q)
@@ -67,10 +69,7 @@ func (k *qrun) enter(q int) {
 		k.done = true
 		return
 	}
-	if k.st.Jump > 0 {
-		k.cursor += int64(k.st.Jump)
-		k.stats.InitialJumpBytes += int64(k.st.Jump)
-	}
+	k.cursor += int64(k.st.Jump)
 }
 
 // driver owns one run: the shared segment source, the chain of live
@@ -510,7 +509,6 @@ func (d *driver) result() (Result, error) {
 		k.stats.States = k.table.Stats.States
 		k.stats.CWStates = k.table.Stats.CWStates
 		k.stats.BMStates = k.table.Stats.BMStates
-		k.stats.MatchersBuilt = k.plan.MatcherCount()
 		res.Query[i] = k.stats
 		if k.err != nil {
 			failed = true

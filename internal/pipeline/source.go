@@ -57,9 +57,9 @@ type source interface {
 	// guarantees no query still references the segment's data.
 	recycle(*mseg)
 	// close unwinds the source — stopping any reader and worker goroutines —
-	// and folds the scan-side counters (bytes read, comparisons, shifts,
-	// rejected matches) into st. It must be called exactly once, after the
-	// last next.
+	// and folds the scan-side counters (bytes read and scanned, characters
+	// inspected, rejected matches) into st. It must be called exactly once,
+	// after the last next.
 	close(st *core.Stats)
 }
 
@@ -283,12 +283,16 @@ func (s *serialSource) err() error { return s.seg.terminal }
 func (s *serialSource) recycle(seg *mseg) { s.seg.pool.put(seg) }
 
 func (s *serialSource) close(st *core.Stats) {
-	m, inspected, rejected := s.sc.Counters()
 	st.BytesRead = s.seg.bytesRead
-	st.CharComparisons += m.Comparisons + inspected
-	st.Shifts += m.Shifts
-	st.ShiftTotal += m.ShiftTotal
+	addScanner(st, s.sc)
+}
+
+// addScanner folds one scanner's counters into st.
+func addScanner(st *core.Stats, sc *core.SegmentScanner) {
+	inspected, rejected, scanned := sc.Counters()
+	st.CharComparisons += inspected
 	st.RejectedMatches += rejected
+	st.BytesScanned += scanned
 }
 
 // scanAhead is the capacity of the parallel source's reorder buffer: the
@@ -479,11 +483,7 @@ func (p *parallelSource) close(st *core.Stats) {
 	p.scanWG.Wait()
 	st.BytesRead = p.seg.bytesRead
 	for _, sc := range p.scanners {
-		m, inspected, rejected := sc.Counters()
-		st.CharComparisons += m.Comparisons + inspected
-		st.Shifts += m.Shifts
-		st.ShiftTotal += m.ShiftTotal
-		st.RejectedMatches += rejected
+		addScanner(st, sc)
 	}
 }
 

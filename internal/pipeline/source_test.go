@@ -56,26 +56,6 @@ func writeTemp(t testing.TB, doc []byte) string {
 	return path
 }
 
-// anchorsWithin returns the largest number of '<' bytes in any window of n
-// consecutive bytes of doc: an upper bound on the anchors (Stats.Shifts)
-// one segment of that size can contribute.
-func anchorsWithin(doc []byte, n int) int64 {
-	var at []int
-	for i, c := range doc {
-		if c == '<' {
-			at = append(at, i)
-		}
-	}
-	best := 0
-	for lo, hi := 0, 0; hi < len(at); hi++ {
-		for at[hi]-at[lo] >= n {
-			lo++
-		}
-		best = max(best, hi-lo+1)
-	}
-	return int64(best)
-}
-
 // TestParallelScanAhead pins the scan-ahead bound: over an in-memory
 // document of many segments, a driver that pulls nothing leaves the reader
 // blocked after at most scanAhead+1 segments, so the scanners stop there
@@ -98,8 +78,8 @@ func TestParallelScanAhead(t *testing.T) {
 	if max := int64(bound * (segSize + overlap)); st.BytesRead > max {
 		t.Errorf("reader cut %d bytes with nothing pulled, want <= %d (%d segments)", st.BytesRead, max, bound)
 	}
-	if max := int64(bound) * anchorsWithin(doc, segSize+overlap); st.Shifts > max {
-		t.Errorf("scanners found %d anchors with nothing pulled, want <= %d", st.Shifts, max)
+	if max := int64(bound * (segSize + overlap)); st.BytesScanned > max {
+		t.Errorf("scanners covered %d bytes with nothing pulled, want <= %d", st.BytesScanned, max)
 	}
 }
 
@@ -155,10 +135,10 @@ func TestParallelEarlyStop(t *testing.T) {
 		t.Fatal("file run was not mapped")
 	}
 	segSize, overlap := eng.sizing(opts.Workers, opts)
-	slack := int64(scanAhead(opts.Workers)+1) * anchorsWithin(doc, segSize+overlap)
-	if mapped.Scan.Shifts > streamed.Scan.Shifts+slack {
-		t.Errorf("mapped run: %d shifts, streamed %d; want at most %d more",
-			mapped.Scan.Shifts, streamed.Scan.Shifts, slack)
+	slack := int64((scanAhead(opts.Workers) + 1) * (segSize + overlap))
+	if mapped.Scan.BytesScanned > streamed.Scan.BytesScanned+slack {
+		t.Errorf("mapped run: %d bytes scanned, streamed %d; want at most %d more",
+			mapped.Scan.BytesScanned, streamed.Scan.BytesScanned, slack)
 	}
 }
 

@@ -109,9 +109,8 @@ func TestPrefilterSequentialReuseStatsReset(t *testing.T) {
 		if _, err := pf.Project(context.Background(), io.Discard, bytes.NewReader(docs[0]), WithStatsInto(&again)); err != nil {
 			t.Fatal(err)
 		}
-		// MatchersBuilt reports the shared plan's table count, constant
-		// across runs; every counter must match exactly, including the
-		// per-run segment high-water mark MaxBufferBytes.
+		// Every counter must match exactly, including the per-run segment
+		// high-water mark MaxBufferBytes.
 		if withoutDurations(again) != withoutDurations(first) {
 			t.Fatalf("run %d: stats drifted across runs:\nfirst: %+v\nagain: %+v", run, first, again)
 		}

@@ -68,8 +68,8 @@ type Stats = core.Stats
 type CompileStats = compile.Stats
 
 // PlanStats report the size and memory footprint of a prefilter's immutable
-// execution plan — the matcher tables, interned tag strings and vocabulary
-// orders shared by every concurrent run. See the aliased type for fields.
+// execution plan — the automaton and interned tag strings shared by every
+// concurrent run. See the aliased type for fields.
 type PlanStats = core.PlanStats
 
 // Query describes one benchmark query (identifier, query text, projection
@@ -223,9 +223,11 @@ func WithStatsInto(st *Stats) ProjectOption {
 // (Stats.ZeroCopyInput).
 // The input must be valid with respect to the prefilter's DTD.
 //
-// Stats.CharComparisons and Stats.Shifts count the keyword scan, as they do
-// for WithWorkers runs; the paper's per-algorithm Boyer-Moore and
-// Commentz-Walter figures come from smpbench -experiment.
+// Stats.CharComparisons counts the characters the keyword scan's
+// verification and tag-end scans compare, and Stats.BytesScanned the bytes
+// it covered; Shifts, ShiftTotal, InitialJumpBytes and MatchersBuilt stay
+// zero. The paper's per-algorithm Boyer-Moore and Commentz-Walter figures
+// come from smpbench -experiment.
 //
 // The context is honoured at every segment boundary in every layer — the
 // serial source, the parallel segment reader, the replay and the workers —
