@@ -59,7 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		showStats = fs.Bool("stats", false, "print runtime statistics to stderr")
 		describe  = fs.Bool("describe", false, "print the compiled lookup tables instead of projecting")
 		chunk     = fs.Int("chunk", 0, "streaming window chunk size in bytes (0 = default)")
-		noJumps   = fs.Bool("nojumps", false, "disable the initial-jump table J")
 		jobs      = fs.Int("j", 1, "intra-document parallel scan workers (1 = serial, 0 = all cores)")
 		useIndex  = fs.Bool("index", false, "use the document's candidate-index sidecar (<in>.smpidx), building it first when missing, stale, or uncovering (requires -in)")
 		tracePath = fs.String("trace", "", "write per-stage Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing)")
@@ -78,12 +77,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := smp.Options{DisableInitialJumps: *noJumps}
 	var pf *smp.Prefilter
 	if *pathSpec != "" {
-		pf, err = smp.Compile(string(dtdSrc), *pathSpec, opts)
+		pf, err = smp.Compile(string(dtdSrc), *pathSpec, smp.Options{})
 	} else {
-		pf, err = smp.CompileQuery(string(dtdSrc), *query, opts)
+		pf, err = smp.CompileQuery(string(dtdSrc), *query, smp.Options{})
 	}
 	if err != nil {
 		return err
@@ -202,8 +200,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *showStats {
 		fmt.Fprintf(stderr, "read %d bytes, wrote %d bytes (%.1f%%)\n",
 			stats.BytesRead, stats.BytesWritten, 100*stats.OutputRatio())
+		cs := pf.CompileStats()
 		fmt.Fprintf(stderr, "states %d (%d CW + %d BM), characters inspected %.2f%%, rejected matches %d\n",
-			stats.States, stats.CWStates, stats.BMStates,
+			stats.States, cs.CWStates, cs.BMStates,
 			stats.CharCompPercent(), stats.RejectedMatches)
 		if stats.IndexHits+stats.IndexSkips > 0 {
 			fmt.Fprintf(stderr, "index: hits %d, skips %d, summary skips %d\n",

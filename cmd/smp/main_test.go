@@ -68,6 +68,11 @@ func TestRunProjectsWithPaths(t *testing.T) {
 	if !strings.Contains(stderr.String(), "characters inspected") {
 		t.Errorf("stats output missing: %q", stderr.String())
 	}
+	// The static split of the states comes from the compile statistics: 2
+	// states search several keywords (Commentz-Walter), 4 one (Boyer-Moore).
+	if !strings.Contains(stderr.String(), "states 7 (2 CW + 4 BM), characters inspected 44.02%, rejected matches 0\n") {
+		t.Errorf("stats line changed: %q", stderr.String())
+	}
 }
 
 func TestRunProjectsWithQueryToStdout(t *testing.T) {

@@ -137,6 +137,45 @@ func TestDocUploadShortBodyCancelled(t *testing.T) {
 	}
 }
 
+// TestDocUploadLargerThanCache sends an upload larger than the whole
+// document cache: it must be refused with 413 before any byte is reserved
+// or read, and the document already cached must keep serving instead of
+// being evicted to make room. The admission budget is off (-maxinflight 0),
+// so the size check is the only guard before the declared size is
+// allocated.
+func TestDocUploadLargerThanCache(t *testing.T) {
+	srv, ts := docServer(t)
+	srv.docs = newDocCache(t.TempDir(), 1<<10)
+	srv.adm.max = 0
+
+	hash := uploadDoc(t, ts, auctionDoc)
+	resp, err := ts.Client().Post(ts.URL+"/documents", "application/xml", strings.NewReader(strings.Repeat("x", 2<<10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 KiB upload into a 1 KiB cache: status %d, want 413: %s", resp.StatusCode, body)
+	}
+
+	getResp, err := ts.Client().Get(ts.URL + "/documents/" + hashScheme + ":" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(getResp.Body)
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusOK || string(got) != auctionDoc {
+		t.Fatalf("cached document after the refused upload: status %d, body intact %v", getResp.StatusCode, string(got) == auctionDoc)
+	}
+	if st := srv.docs.stats(); st.Docs != 1 || st.Stores != 1 || st.Evictions != 0 {
+		t.Errorf("doc cache stats = %+v, want 1 doc, 1 store, no eviction", st)
+	}
+	if inflight, _ := srv.adm.view(); inflight != 0 {
+		t.Errorf("admission holds %d bytes after the refused upload", inflight)
+	}
+}
+
 // TestDocCacheEviction fills the cache past its byte budget and checks LRU
 // eviction, the eviction counter, and that an evicted digest answers 404.
 func TestDocCacheEviction(t *testing.T) {

@@ -578,6 +578,12 @@ func (s *server) handleDocUpload(w http.ResponseWriter, r *http.Request, o *reqO
 		s.failOutcome(w, o, http.StatusLengthRequired, "upload needs a Content-Length")
 		return
 	}
+	// A document larger than the whole cache would evict every other one and
+	// still leave it over budget: refuse it before reserving or allocating.
+	if size > s.docs.maxBytes {
+		s.failOutcome(w, o, http.StatusRequestEntityTooLarge, fmt.Sprintf("document of %d bytes exceeds the %d-byte document cache (-doccache)", size, s.docs.maxBytes))
+		return
+	}
 	if !s.adm.reserve(size) {
 		s.shedRequest(w, o)
 		return

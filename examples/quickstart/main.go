@@ -53,8 +53,9 @@ func main() {
 		stats.BytesRead, stats.BytesWritten, 100*stats.OutputRatio())
 	fmt.Printf("characters inspected: %.1f%% of the input (paper Example 1 reports ~22%%)\n",
 		stats.CharCompPercent())
+	cs := pf.CompileStats()
 	fmt.Printf("runtime automaton: %d states (%d Commentz-Walter + %d Boyer-Moore)\n\n",
-		stats.States, stats.CWStates, stats.BMStates)
+		stats.States, cs.CWStates, cs.BMStates)
 
 	// Variant 2: extract the paths from the query text.
 	queryPF, err := smp.CompileQuery(auctionDTD, "<q>{//australia//description}</q>", smp.Options{})

@@ -32,7 +32,7 @@ type State struct {
 	// stop once a final state is reached and no vocabulary remains).
 	Final bool
 	// Action is the row of table T.
-	Action projection.Action
+	Action Action
 	// Vocabulary is the row of table V, sorted by keyword.
 	Vocabulary []Keyword
 	// Jump is the row of table J: the number of characters that can be
@@ -47,6 +47,29 @@ type State struct {
 	// Branch is a representative document branch of the state (the branch
 	// of its first NFA state), used in diagnostics.
 	Branch []string
+}
+
+// Action is an entry of table T: what the runtime does with the element
+// whose tag enters a state (paper Fig. 3), from least to most preserving;
+// actionFor relies on that order.
+type Action int
+
+// The actions of table T, in the order of projection.Action.
+const (
+	Skip         Action = iota // drop the element (and, unless a descendant is relevant, its tags)
+	CopyTag                    // keep the tags without attributes
+	CopyTagAttrs               // keep the tags with their attributes
+	CopySubtree                // keep the whole subtree ("copy on" ... "copy off")
+)
+
+var actionNames = [...]string{"nop", "copy tag", "copy tag + atts", "copy on/off"}
+
+// String returns the paper's name for the action.
+func (a Action) String() string {
+	if a < 0 || int(a) >= len(actionNames) {
+		return "unknown"
+	}
+	return actionNames[a]
 }
 
 // Table is the complete output of the static analysis.
@@ -215,13 +238,15 @@ func vocabularyFor(ds *dfaState) []Keyword {
 // actionFor derives the T row from the relevance of the state's NFA states.
 // If determinization merged states whose actions differ, the most preserving
 // action is chosen; preserving more data is always projection-safe.
-func actionFor(aut *glushkov.Automaton, rel *projection.Relevance, ds *dfaState) projection.Action {
+func actionFor(aut *glushkov.Automaton, rel *projection.Relevance, ds *dfaState) Action {
 	if ds.label == "" {
-		return projection.Skip
+		return Skip
 	}
-	best := projection.Skip
+	best := Skip
 	for _, id := range ds.nfa {
-		a := rel.ActionFor(aut.Branch(id))
+		// The relevance analysis is the reference projector's; its actions
+		// convert value for value (TestOracleActionConversion).
+		a := Action(rel.ActionFor(aut.Branch(id)))
 		if a > best {
 			best = a
 		}

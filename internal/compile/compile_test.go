@@ -8,7 +8,6 @@ import (
 	"smp/internal/dtd"
 	"smp/internal/glushkov"
 	"smp/internal/paths"
-	"smp/internal/projection"
 )
 
 // example2DTD is the DTD of paper Example 2 (and Fig. 5).
@@ -99,7 +98,7 @@ func TestCompilePaperFig3(t *testing.T) {
 	if !equalStrings(keywords(q0), []string{"<a"}) {
 		t.Errorf("V[q0] = %v, want {\"<a\"}", keywords(q0))
 	}
-	if q0.Action != projection.Skip {
+	if q0.Action != Skip {
 		t.Errorf("T[q0] = %v, want nop", q0.Action)
 	}
 
@@ -107,7 +106,7 @@ func TestCompilePaperFig3(t *testing.T) {
 	if !equalStrings(keywords(q1), []string{"</a", "<b", "<c"}) {
 		t.Errorf("V[q1] = %v, want {</a, <b, <c}", keywords(q1))
 	}
-	if q1.Action != projection.CopyTag && q1.Action != projection.CopyTagAttrs {
+	if q1.Action != CopyTag && q1.Action != CopyTagAttrs {
 		t.Errorf("T[q1] = %v, want copy tag", q1.Action)
 	}
 	if q1.Jump != 0 {
@@ -126,7 +125,7 @@ func TestCompilePaperFig3(t *testing.T) {
 	if !equalStrings(keywords(q2), []string{"</b"}) {
 		t.Errorf("V[q2] = %v, want {</b}", keywords(q2))
 	}
-	if q2.Action != projection.CopySubtree {
+	if q2.Action != CopySubtree {
 		t.Errorf("T[q2] = %v, want copy on", q2.Action)
 	}
 
@@ -134,7 +133,7 @@ func TestCompilePaperFig3(t *testing.T) {
 	if !equalStrings(keywords(qHat2), []string{"</a", "<b", "<c"}) {
 		t.Errorf("V[q^2] = %v, want {</a, <b, <c}", keywords(qHat2))
 	}
-	if qHat2.Action != projection.CopySubtree {
+	if qHat2.Action != CopySubtree {
 		t.Errorf("T[q^2] = %v, want copy off", qHat2.Action)
 	}
 
@@ -142,7 +141,7 @@ func TestCompilePaperFig3(t *testing.T) {
 	if !equalStrings(keywords(q3), []string{"</c"}) {
 		t.Errorf("V[q3] = %v, want {</c}", keywords(q3))
 	}
-	if q3.Action != projection.Skip {
+	if q3.Action != Skip {
 		t.Errorf("T[q3] = %v, want nop", q3.Action)
 	}
 	// Paper Example 3: the DTD guarantees at least one b-child, whose
@@ -155,7 +154,7 @@ func TestCompilePaperFig3(t *testing.T) {
 	if !equalStrings(keywords(qHat3), []string{"</a", "<b", "<c"}) {
 		t.Errorf("V[q^3] = %v, want {</a, <b, <c}", keywords(qHat3))
 	}
-	if qHat3.Action != projection.Skip {
+	if qHat3.Action != Skip {
 		t.Errorf("T[q^3] = %v, want nop", qHat3.Action)
 	}
 
@@ -220,7 +219,7 @@ func TestCompilePaperExample12(t *testing.T) {
 	if !equalStrings(keywords(qc), []string{"</c"}) {
 		t.Errorf("V[c] = %v, want {</c}", keywords(qc))
 	}
-	if qc.Action != projection.CopySubtree {
+	if qc.Action != CopySubtree {
 		t.Errorf("T[c] = %v, want copy on", qc.Action)
 	}
 	// No state for b exists.
@@ -237,11 +236,11 @@ func TestCompilePaperExample12(t *testing.T) {
 func TestCompilePaperExample11Orientation(t *testing.T) {
 	table := mustCompile(t, example2DTD, "/*, /a/b#")
 	qc := stateByLabel(t, table, "c", false)
-	if qc.Action != projection.Skip {
+	if qc.Action != Skip {
 		t.Errorf("orientation state for c must have action nop, got %v", qc.Action)
 	}
 	qcHat := stateByLabel(t, table, "c", true)
-	if qcHat.Action != projection.Skip {
+	if qcHat.Action != Skip {
 		t.Errorf("orientation state for /c must have action nop, got %v", qcHat.Action)
 	}
 }

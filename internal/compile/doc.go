@@ -14,7 +14,7 @@
 // The output, a compile.Table, is the static half of the paper's
 // static/runtime split. Everything downstream consumes it read-only: the
 // serial engine executes it directly (internal/core wraps it in a Plan and
-// builds its string matchers beside it), the intra-document
+// internal/fig4 builds its string matchers beside it), the intra-document
 // parallel mode derives its union-vocabulary scan tables from it
 // (core.NewScanPlan, used by internal/pipeline), and Table.String renders the
 // tables in the shape of paper Fig. 3 for inspection (`smp -describe`).

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -7,6 +7,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"smp/internal/core"
+	"smp/internal/fig4"
 )
 
 // endlessReader produces keyword-free bytes forever and cancels the context
@@ -35,7 +38,7 @@ func (r *endlessReader) Read(p []byte) (int, error) {
 // at most one further chunk, and a pre-cancelled context returns before
 // reading at all.
 func TestProjectContextCancelled(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{ChunkSize: 1 << 10})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{ChunkSize: 1 << 10}, fig4.Options{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -66,7 +69,7 @@ func TestProjectContextCancelled(t *testing.T) {
 // TestProjectWithChunkOverride checks that a per-run chunk size changes the
 // read granularity without changing the projection.
 func TestProjectWithChunkOverride(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, //c#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, //c#", core.Options{}, fig4.Options{})
 	doc := `<a><b>x</b><c><b>y</b></c></a>`
 	var want bytes.Buffer
 	if _, err := p.Project(context.Background(), &want, strings.NewReader(doc)); err != nil {
@@ -74,7 +77,7 @@ func TestProjectWithChunkOverride(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 64, 128, 1 << 20} {
 		var out bytes.Buffer
-		if _, err := p.ProjectWith(context.Background(), &out, strings.NewReader(doc), RunOptions{ChunkSize: chunk}); err != nil {
+		if _, err := p.ProjectWith(context.Background(), &out, strings.NewReader(doc), fig4.RunOptions{ChunkSize: chunk}); err != nil {
 			t.Fatalf("chunk %d: %v", chunk, err)
 		}
 		if out.String() != want.String() {

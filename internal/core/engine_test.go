@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -8,9 +8,12 @@ import (
 	"testing"
 
 	"smp/internal/compile"
+	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
 	"smp/internal/projection"
+	"smp/internal/testutil"
 )
 
 // The DTD of paper Example 2 / Fig. 5.
@@ -20,36 +23,25 @@ const example2DTD = `<!DOCTYPE a [
 	<!ELEMENT c (b,b?)>
 ]>`
 
-// The simplified XMark DTD of paper Fig. 1 (leaf elements are #PCDATA).
-const fig1DTD = `<!DOCTYPE site [
-	<!ELEMENT site (regions)>
-	<!ELEMENT regions (africa, asia, australia)>
-	<!ELEMENT africa (item*)>
-	<!ELEMENT asia (item*)>
-	<!ELEMENT australia (item*)>
-	<!ELEMENT item (location,name,payment,description,shipping,incategory+)>
-	<!ELEMENT incategory EMPTY>
-	<!ATTLIST incategory category ID #REQUIRED>
-	<!ELEMENT location (#PCDATA)>
-	<!ELEMENT name (#PCDATA)>
-	<!ELEMENT payment (#PCDATA)>
-	<!ELEMENT description (#PCDATA)>
-	<!ELEMENT shipping (#PCDATA)>
-]>`
-
 // The document of paper Fig. 2.
 const paperFig2Document = `<site><regions><africa><item><location>United States</location><name>T V</name><payment>Creditcard</payment><description>15''LCD-FlatPanel</description><shipping>Within country</shipping><incategory category="3"/></item></africa><asia/><australia><item ><location>Egypt</location><name>PDA</name><payment>Check</payment><description>Palm Zire 71</description><shipping/><incategory category="3"/></item></australia></regions></site>`
 
-func newPrefilter(t *testing.T, dtdSrc, pathSpec string, opts Options) *Prefilter {
+// newEngine wraps a compiled table in the paper's Fig. 4 engine over a
+// fresh plan.
+func newEngine(table *compile.Table, popts core.Options, fopts fig4.Options) *fig4.Prefilter {
+	return fig4.New(core.NewPlan(table, popts), fopts)
+}
+
+func newPrefilter(t *testing.T, dtdSrc, pathSpec string, popts core.Options, fopts fig4.Options) *fig4.Prefilter {
 	t.Helper()
 	table, err := compile.Compile(dtd.MustParse(dtdSrc), paths.MustParseSet(pathSpec), compile.Options{})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	return New(table, opts)
+	return newEngine(table, popts, fopts)
 }
 
-func runPrefilter(t *testing.T, p *Prefilter, doc string) (string, Stats) {
+func runPrefilter(t *testing.T, p *fig4.Prefilter, doc string) (string, fig4.Stats) {
 	t.Helper()
 	out, stats, err := p.ProjectBytes(context.Background(), []byte(doc))
 	if err != nil {
@@ -62,7 +54,7 @@ func runPrefilter(t *testing.T, p *Prefilter, doc string) (string, Stats) {
 // the Fig. 2 document for //australia//description yields the five-tag
 // projection, and only a fraction of the characters is inspected.
 func TestRunPaperExample1(t *testing.T) {
-	p := newPrefilter(t, fig1DTD, "/*, //australia//description#", Options{})
+	p := newPrefilter(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{}, fig4.Options{})
 	out, stats := runPrefilter(t, p, paperFig2Document)
 	want := `<site><australia><description>Palm Zire 71</description></australia></site>`
 	if out != want {
@@ -84,7 +76,7 @@ func TestRunPaperExample1(t *testing.T) {
 // top-level b-children survive, b-children of c are skipped thanks to the
 // orientation states.
 func TestRunPaperExample2(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{}, fig4.Options{})
 	doc := `<a><b>keep1</b><c><b>drop1</b><b>drop2</b></c><b>keep2</b><c><b>drop3</b></c></a>`
 	out, _ := runPrefilter(t, p, doc)
 	want := `<a><b>keep1</b><b>keep2</b></a>`
@@ -103,11 +95,11 @@ func TestRunMatchesReferenceProjector(t *testing.T) {
 		doc     string
 		pathSet string
 	}{
-		{"example1", fig1DTD, paperFig2Document, "/*, //australia//description#"},
-		{"example1-name", fig1DTD, paperFig2Document, "/*, /site/regions/australia/item/name#"},
-		{"example1-incategory", fig1DTD, paperFig2Document, "/*, //incategory#"},
-		{"example1-payment", fig1DTD, paperFig2Document, "/*, //payment#"},
-		{"example1-item", fig1DTD, paperFig2Document, "/*, /site/regions/africa/item#"},
+		{"example1", testutil.Fig1DTD, paperFig2Document, "/*, //australia//description#"},
+		{"example1-name", testutil.Fig1DTD, paperFig2Document, "/*, /site/regions/australia/item/name#"},
+		{"example1-incategory", testutil.Fig1DTD, paperFig2Document, "/*, //incategory#"},
+		{"example1-payment", testutil.Fig1DTD, paperFig2Document, "/*, //payment#"},
+		{"example1-item", testutil.Fig1DTD, paperFig2Document, "/*, /site/regions/africa/item#"},
 		{"example2-ab", example2DTD, `<a><b>x</b><c><b>y</b></c><b>z</b></a>`, "/*, /a/b#"},
 		{"example2-c", example2DTD, `<a><b>x</b><c><b>y</b><b>w</b></c><b>z</b></a>`, "/*, //c#"},
 		{"example2-all", example2DTD, `<a><c><b>T</b></c></a>`, "/*, /a/b#, //b#"},
@@ -116,7 +108,7 @@ func TestRunMatchesReferenceProjector(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := newPrefilter(t, c.dtdSrc, c.pathSet, Options{})
+			p := newPrefilter(t, c.dtdSrc, c.pathSet, core.Options{}, fig4.Options{})
 			smpOut, _ := runPrefilter(t, p, c.doc)
 
 			oracle := projection.New(paths.MustParseSet(c.pathSet), projection.Options{})
@@ -140,12 +132,12 @@ func TestRunMatchesReferenceProjector(t *testing.T) {
 // single/multi keyword algorithm combination; all must produce identical
 // output (the algorithms only differ in how they skip).
 func TestRunAllAlgorithmsAgree(t *testing.T) {
-	singles := []SingleAlgorithm{SingleBoyerMoore, SingleHorspool, SingleNaive}
-	multis := []MultiAlgorithm{MultiCommentzWalter, MultiAhoCorasick, MultiSetHorspool, MultiNaive}
+	singles := []fig4.SingleAlgorithm{fig4.SingleBoyerMoore, fig4.SingleHorspool, fig4.SingleNaive}
+	multis := []fig4.MultiAlgorithm{fig4.MultiCommentzWalter, fig4.MultiAhoCorasick, fig4.MultiSetHorspool, fig4.MultiNaive}
 	var reference string
 	for _, s := range singles {
 		for _, m := range multis {
-			p := newPrefilter(t, fig1DTD, "/*, //australia//description#", Options{Single: s, Multi: m})
+			p := newPrefilter(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{}, fig4.Options{Single: s, Multi: m})
 			out, _ := runPrefilter(t, p, paperFig2Document)
 			if reference == "" {
 				reference = out
@@ -169,8 +161,8 @@ func TestRunSmallChunkSizes(t *testing.T) {
 	doc := `<site><regions><africa>` + items.String() + `</africa><asia/><australia>` + items.String() + `</australia></regions></site>`
 
 	var reference string
-	for _, chunk := range []int{0, 64, 256, 4096, DefaultChunkSize} {
-		p := newPrefilter(t, fig1DTD, "/*, //australia//description#", Options{ChunkSize: chunk})
+	for _, chunk := range []int{0, 64, 256, 4096, core.DefaultChunkSize} {
+		p := newPrefilter(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{ChunkSize: chunk}, fig4.Options{})
 		out, stats := runPrefilter(t, p, doc)
 		if reference == "" {
 			reference = out
@@ -196,7 +188,7 @@ func TestRunStreamingMemoryBounded(t *testing.T) {
 		fmt.Fprintf(&items, `<item><location>l%d</location><name>n%d</name><payment>p</payment><description>d%d</description><shipping>s</shipping><incategory category="c"/></item>`, i, i, i)
 	}
 	doc := `<site><regions><africa>` + items.String() + `</africa><asia/><australia><item><location>x</location><name>y</name><payment>p</payment><description>target</description><shipping>s</shipping><incategory category="c"/></item></australia></regions></site>`
-	p := newPrefilter(t, fig1DTD, "/*, //australia//description#", Options{ChunkSize: 4096})
+	p := newPrefilter(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{ChunkSize: 4096}, fig4.Options{})
 	out, stats := runPrefilter(t, p, doc)
 	if !strings.Contains(out, "<description>target</description>") {
 		t.Errorf("projection missing target: %q", out)
@@ -218,7 +210,7 @@ func TestRunSkipsMostCharacters(t *testing.T) {
 		fmt.Fprintf(&items, `<item><location>United States of America</location><name>product number %d</name><payment>Creditcard</payment><description>a reasonably long description text %d</description><shipping>Will ship internationally</shipping><incategory category="cat%d"/></item>`, i, i, i)
 	}
 	doc := `<site><regions><africa>` + items.String() + `</africa><asia>` + items.String() + `</asia><australia><item><location>x</location><name>y</name><payment>p</payment><description>found</description><shipping>s</shipping><incategory category="c"/></item></australia></regions></site>`
-	p := newPrefilter(t, fig1DTD, "/*, //australia//description#", Options{})
+	p := newPrefilter(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{}, fig4.Options{})
 	_, stats := runPrefilter(t, p, doc)
 	ratio := float64(stats.CharComparisons) / float64(len(doc))
 	if ratio > 0.5 {
@@ -239,7 +231,7 @@ func TestRunPrefixTagnameDisambiguation(t *testing.T) {
 		<!ELEMENT Abstract (#PCDATA)>
 	]>`
 	doc := `<r><rec><AbstractText>ignore this</AbstractText><Abstract>keep this</Abstract></rec></r>`
-	p := newPrefilter(t, d, "/*, //Abstract#", Options{})
+	p := newPrefilter(t, d, "/*, //Abstract#", core.Options{}, fig4.Options{})
 	out, stats := runPrefilter(t, p, doc)
 	want := `<r><Abstract>keep this</Abstract></r>`
 	if out != want {
@@ -252,7 +244,7 @@ func TestRunPrefixTagnameDisambiguation(t *testing.T) {
 
 func TestRunTagsWithAttributesAndWhitespace(t *testing.T) {
 	doc := `<a><b  attr="v1"   other='v2'  >text</b><c><b attr=">quoted bracket<">inner</b></c></a>`
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{}, fig4.Options{})
 	out, _ := runPrefilter(t, p, doc)
 	// The b child of a is copied raw, including its attributes and the '>'
 	// hidden inside a quoted attribute value of the skipped inner b.
@@ -264,7 +256,7 @@ func TestRunTagsWithAttributesAndWhitespace(t *testing.T) {
 
 func TestRunBachelorTagActions(t *testing.T) {
 	doc := `<a><b/><c><b/></c><b  x="1"/></a>`
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{}, fig4.Options{})
 	out, _ := runPrefilter(t, p, doc)
 	want := `<a><b/><b  x="1"/></a>`
 	if out != want {
@@ -273,7 +265,7 @@ func TestRunBachelorTagActions(t *testing.T) {
 }
 
 func TestRunInvalidDocumentReportsError(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{}, fig4.Options{})
 	// Truncated document: <a> opened, never closed, no relevant content.
 	if _, _, err := p.ProjectBytes(context.Background(), []byte(`<a><b>x`)); err == nil {
 		t.Error("expected error for truncated document")
@@ -288,13 +280,13 @@ func TestRunInvalidDocumentReportsError(t *testing.T) {
 }
 
 func TestRunStatsConsistency(t *testing.T) {
-	p := newPrefilter(t, fig1DTD, "/*, //australia//description#", Options{})
+	p := newPrefilter(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{}, fig4.Options{})
 	out, stats := runPrefilter(t, p, paperFig2Document)
 	if stats.BytesWritten != int64(len(out)) {
 		t.Errorf("BytesWritten = %d, want %d", stats.BytesWritten, len(out))
 	}
-	if stats.States != p.Table().Stats.States {
-		t.Errorf("States = %d, want %d", stats.States, p.Table().Stats.States)
+	if stats.States != p.Plan().Table().Stats.States {
+		t.Errorf("States = %d, want %d", stats.States, p.Plan().Table().Stats.States)
 	}
 	if stats.MatchersBuilt == 0 || stats.MatchersBuilt > stats.States {
 		t.Errorf("MatchersBuilt = %d, want between 1 and %d", stats.MatchersBuilt, stats.States)
@@ -314,7 +306,7 @@ func TestRunStatsConsistency(t *testing.T) {
 }
 
 func TestRunWriterErrorPropagates(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{}, fig4.Options{})
 	w := &failingWriter{failAfter: 1}
 	_, err := p.Project(context.Background(), w, strings.NewReader(`<a><b>x</b></a>`))
 	if err == nil {
@@ -336,7 +328,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 func TestRunReusePrefilterAcrossDocuments(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, /a/b#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, /a/b#", core.Options{}, fig4.Options{})
 	docs := []string{
 		`<a><b>1</b></a>`,
 		`<a><c><b>2</b></c></a>`,
@@ -363,7 +355,7 @@ func TestRunOutputIsWellFormed(t *testing.T) {
 		"/*, /site/regions/africa/item/location#",
 	}
 	for _, spec := range specs {
-		p := newPrefilter(t, fig1DTD, spec, Options{})
+		p := newPrefilter(t, testutil.Fig1DTD, spec, core.Options{}, fig4.Options{})
 		out, _ := runPrefilter(t, p, paperFig2Document)
 		if _, err := projection.Canonicalize([]byte(out)); err != nil {
 			t.Errorf("spec %q: output is not well-formed: %v\n%s", spec, err, out)
@@ -372,7 +364,7 @@ func TestRunOutputIsWellFormed(t *testing.T) {
 }
 
 func TestRunIntoBuffer(t *testing.T) {
-	p := newPrefilter(t, example2DTD, "/*, //c#", Options{})
+	p := newPrefilter(t, example2DTD, "/*, //c#", core.Options{}, fig4.Options{})
 	var buf bytes.Buffer
 	stats, err := p.Project(context.Background(), &buf, strings.NewReader(`<a><b>x</b><c><b>y</b></c></a>`))
 	if err != nil {

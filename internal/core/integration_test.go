@@ -1,11 +1,13 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 
 	"smp/internal/compile"
+	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
 	"smp/internal/projection"
 	"smp/internal/xmlgen"
@@ -39,7 +41,7 @@ func runWorkloadAgainstOracle(t *testing.T, schema *dtd.DTD, doc []byte, queries
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			smpOut, stats, err := New(table, Options{}).ProjectBytes(context.Background(), doc)
+			smpOut, stats, err := newEngine(table, core.Options{}, fig4.Options{}).ProjectBytes(context.Background(), doc)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -83,11 +85,11 @@ func TestXMarkWorkloadSmallChunks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", id, err)
 		}
-		wide, _, err := New(table, Options{}).ProjectBytes(context.Background(), doc)
+		wide, _, err := newEngine(table, core.Options{}, fig4.Options{}).ProjectBytes(context.Background(), doc)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		narrow, _, err := New(table, Options{ChunkSize: 128}).ProjectBytes(context.Background(), doc)
+		narrow, _, err := newEngine(table, core.Options{ChunkSize: 128}, fig4.Options{}).ProjectBytes(context.Background(), doc)
 		if err != nil {
 			t.Fatalf("%s (chunk 128): %v", id, err)
 		}

@@ -1,21 +1,30 @@
 package core
 
 import (
-	"sync"
-
 	"smp/internal/compile"
 )
+
+// DefaultChunkSize is the streaming read granularity: eight times a common
+// 4 KiB page, as in the paper's prototype.
+const DefaultChunkSize = 8 * 4096
+
+// Options configures a Plan.
+type Options struct {
+	// ChunkSize is the read granularity in bytes (default
+	// DefaultChunkSize).
+	ChunkSize int
+}
 
 // Plan is the immutable execution plan of one compiled prefilter: the
 // runtime automaton (tables A, V, J, T) together with what the production
 // path needs that is a pure function of (DTD, paths, options) — the
 // interned tag serializations. The Fig. 4 engine's string-matcher tables
-// are not part of it: only that engine reads them, so only NewFromPlan
-// builds them, once per plan (see searchTables in engine.go).
+// are not part of it: only that engine reads them, so internal/fig4 builds
+// and keeps them itself.
 //
 // The paper frames prefiltering as a static analysis followed by a cheap
 // runtime scan; the Plan is the static half materialized. It is built once
-// (by NewPlan, called from New/smp.Compile) and never mutated afterwards, so
+// (by NewPlan, called from smp.Compile) and never mutated afterwards, so
 // any number of engines — pooled inside one Prefilter, spread across corpus
 // workers, or cached by a service — can share a single Plan without
 // duplicating a byte of table memory. Per-run state (the streaming window,
@@ -30,11 +39,6 @@ type Plan struct {
 	stateTags []*tagStrings
 
 	stats PlanStats
-
-	// search is built by the first NewFromPlan and nil on plans that only
-	// the production pipeline runs.
-	searchOnce sync.Once
-	search     *searchTables
 }
 
 // PlanStats reports the size and footprint of a compiled Plan, i.e. of
@@ -53,12 +57,9 @@ type PlanStats struct {
 	MemBytes int64
 }
 
-// tagStrings are the synthesized serializations of one tagname, as strings
-// and as byte slices (the pipeline writes the slices: an io.Writer without
-// WriteString would otherwise copy every synthesized tag).
+// tagStrings are the synthesized serializations of one tagname.
 type tagStrings struct {
-	open, close, bachelor    string
-	openB, closeB, bachelorB []byte
+	open, close, bachelor []byte
 }
 
 // NewPlan precompiles the immutable execution plan for a runtime automaton:
@@ -80,11 +81,10 @@ func NewPlan(table *compile.Table, opts Options) *Plan {
 		t, ok := tags[st.Label]
 		if !ok {
 			t = &tagStrings{
-				open:     "<" + st.Label + ">",
-				close:    "</" + st.Label + ">",
-				bachelor: "<" + st.Label + "/>",
+				open:     []byte("<" + st.Label + ">"),
+				close:    []byte("</" + st.Label + ">"),
+				bachelor: []byte("<" + st.Label + "/>"),
 			}
-			t.openB, t.closeB, t.bachelorB = []byte(t.open), []byte(t.close), []byte(t.bachelor)
 			tags[st.Label] = t
 		}
 		p.stateTags[st.ID] = t
@@ -94,9 +94,8 @@ func NewPlan(table *compile.Table, opts Options) *Plan {
 	p.stats.TableBytes = tableSize(table)
 	p.stats.MemBytes = p.stats.TableBytes
 	for label := range tags {
-		// open + close + bachelor serializations, as strings and as byte
-		// slices: 3 labels plus 7 brackets each.
-		p.stats.MemBytes += 2 * int64(3*len(label)+7)
+		// open + close + bachelor serializations: 3 labels plus 7 brackets.
+		p.stats.MemBytes += int64(3*len(label) + 7)
 	}
 	return p
 }
@@ -122,35 +121,17 @@ func tableSize(table *compile.Table) int64 {
 	return size
 }
 
-// tag returns the interned serializations of the tag entering a state.
-// Every labelled state gets its strings at plan build time, so the output
-// path is a slice index, not a map lookup.
-func (p *Plan) tag(st *compile.State) *tagStrings {
-	return p.stateTags[st.ID]
-}
-
-// TagStrings returns the interned serializations of the tag entering a
-// state, for callers outside the engine (the split stitcher synthesizes the
-// same output tags the serial engine would). The strings are empty for the
-// unlabelled initial state, which no tag action ever targets.
-func (p *Plan) TagStrings(st *compile.State) (open, close, bachelor string) {
-	t := p.stateTags[st.ID]
-	if t == nil {
-		return "", "", ""
-	}
-	return t.open, t.close, t.bachelor
-}
-
-// TagBytes is TagStrings as byte slices, for writers without WriteString.
-// The slices are shared read-only state of the plan: an io.Writer may not
-// modify or retain them (the io.Writer contract), and callers must not
-// either.
+// TagBytes returns the interned serializations of the tag entering a state;
+// they are nil for the unlabelled initial state, which no tag action ever
+// targets. The slices are shared read-only state of the plan: an io.Writer
+// may not modify or retain them (the io.Writer contract), and callers must
+// not either.
 func (p *Plan) TagBytes(st *compile.State) (open, close, bachelor []byte) {
 	t := p.stateTags[st.ID]
 	if t == nil {
 		return nil, nil, nil
 	}
-	return t.openB, t.closeB, t.bachelorB
+	return t.open, t.close, t.bachelor
 }
 
 // Table returns the compiled runtime automaton the plan executes.

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -7,50 +7,50 @@ import (
 	"testing"
 
 	"smp/internal/compile"
+	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
+	"smp/internal/testutil"
 	"smp/internal/xmlgen"
 )
 
 // TestNewFromPlanSharesTables checks the invariant of the Plan layer:
-// prefilters built from one plan share its automaton, interned strings and
-// the Fig. 4 engine's matcher tables (pointer-identical plan), and still
-// project correctly.
+// Fig. 4 prefilters built from one plan share its automaton and interned
+// strings (pointer-identical plan), each runs one matcher per state with a
+// vocabulary, and both still project correctly.
 func TestNewFromPlanSharesTables(t *testing.T) {
-	table, err := compile.Compile(dtd.MustParse(fig1DTD), paths.MustParseSet("/*, //australia//description#"), compile.Options{})
+	table, err := compile.Compile(dtd.MustParse(testutil.Fig1DTD), paths.MustParseSet("/*, //australia//description#"), compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := NewPlan(table, Options{})
-	if plan.search != nil {
-		t.Fatal("NewPlan built the Fig. 4 engine's search tables")
-	}
-	p1 := NewFromPlan(plan)
-	p2 := NewFromPlan(plan)
-	if p1.Plan() != p2.Plan() {
-		t.Fatal("NewFromPlan did not share the plan")
+	plan := core.NewPlan(table, core.Options{})
+	p1 := fig4.New(plan, fig4.Options{})
+	p2 := fig4.New(plan, fig4.Options{})
+	if p1.Plan() != plan || p2.Plan() != plan {
+		t.Fatal("fig4.New did not share the plan")
 	}
 
-	want, _, err := New(table, Options{}).ProjectBytes(context.Background(), []byte(paperFig2Document))
+	want, _, err := newEngine(table, core.Options{}, fig4.Options{}).ProjectBytes(context.Background(), []byte(paperFig2Document))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range []*Prefilter{p1, p2} {
-		got, _, err := p.ProjectBytes(context.Background(), []byte(paperFig2Document))
+	for i, p := range []*fig4.Prefilter{p1, p2} {
+		got, st, err := p.ProjectBytes(context.Background(), []byte(paperFig2Document))
 		if err != nil {
 			t.Fatalf("prefilter %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("prefilter %d: projection differs from the freshly compiled plan", i)
 		}
+		if got, want := st.MatchersBuilt, table.Stats.BMStates+table.Stats.CWStates; got != want {
+			t.Errorf("prefilter %d: search tables hold %d matchers, want %d", i, got, want)
+		}
 	}
 
 	ps := plan.Stats()
 	if ps.States != table.Stats.States {
 		t.Errorf("PlanStats.States = %d, want %d", ps.States, table.Stats.States)
-	}
-	if got, want := plan.search.built, table.Stats.BMStates+table.Stats.CWStates; got != want {
-		t.Errorf("search tables hold %d matchers, want %d", got, want)
 	}
 	if ps.TableBytes <= 0 || ps.MemBytes <= ps.TableBytes {
 		t.Errorf("PlanStats footprint inconsistent: %+v", ps)
@@ -68,22 +68,22 @@ func TestSteadyStateAllocationsBufferOnly(t *testing.T) {
 	schema := dtd.MustParse(xmlgen.XMarkDTD())
 	doc := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: 64 << 10, Seed: 5})
 
-	build := func(pathSpec string) *Prefilter {
+	build := func(pathSpec string) *fig4.Prefilter {
 		table, err := compile.Compile(schema, paths.MustParseSet(pathSpec), compile.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return New(table, Options{})
+		return newEngine(table, core.Options{}, fig4.Options{})
 	}
 	small := build("/*")
 	q, _ := xmlgen.QueryByID("XM13") // multi-keyword states, larger tables
 	large := build(q.Paths)
-	if large.PlanStats().MemBytes <= small.PlanStats().MemBytes {
+	if large.Plan().Stats().MemBytes <= small.Plan().Stats().MemBytes {
 		t.Fatalf("fixture: large plan (%d B) not larger than small plan (%d B)",
-			large.PlanStats().MemBytes, small.PlanStats().MemBytes)
+			large.Plan().Stats().MemBytes, small.Plan().Stats().MemBytes)
 	}
 
-	steady := func(p *Prefilter) float64 {
+	steady := func(p *fig4.Prefilter) float64 {
 		// Warm the pool (grows the window buffer once).
 		for i := 0; i < 3; i++ {
 			if _, err := p.Project(context.Background(), io.Discard, bytes.NewReader(doc)); err != nil {

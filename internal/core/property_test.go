@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"smp/internal/compile"
+	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
 	"smp/internal/projection"
 	"smp/internal/xmlgen"
@@ -119,7 +121,7 @@ func checkAgainstOracle(t *testing.T, schema *dtd.DTD, doc []byte, spec string) 
 	if err != nil {
 		t.Fatalf("compile %q: %v", spec, err)
 	}
-	smpOut, _, err := New(table, Options{ChunkSize: 256}).ProjectBytes(context.Background(), doc)
+	smpOut, _, err := newEngine(table, core.Options{ChunkSize: 256}, fig4.Options{}).ProjectBytes(context.Background(), doc)
 	if err != nil {
 		t.Fatalf("run %q: %v\ndoc: %s", spec, err, clipString(string(doc), 400))
 	}
@@ -162,7 +164,7 @@ func TestReaderFailurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := New(table, Options{ChunkSize: 1024})
+	pf := newEngine(table, core.Options{ChunkSize: 1024}, fig4.Options{})
 
 	readErr := errors.New("disk on fire")
 	var out strings.Builder
@@ -192,7 +194,7 @@ func TestTruncatedInputReportsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := New(table, Options{})
+	pf := newEngine(table, core.Options{}, fig4.Options{})
 	_, _, err = pf.ProjectBytes(context.Background(), []byte(`<a><b>never closed`))
 	if err == nil {
 		t.Fatal("expected an error for the truncated document")

@@ -398,7 +398,7 @@ func (s *SegmentScanner) verifyScalar(data []byte, base int64, pos int, final bo
 		if !bytes.Equal(data[pos+1:end], kw.pattern[1:]) {
 			continue
 		}
-		if !isTagTerminator(data[end], kw.token.Close) {
+		if !IsTagTerminator(data[end], kw.token.Close) {
 			s.rejected++
 			continue
 		}

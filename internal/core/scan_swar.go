@@ -45,7 +45,7 @@ const (
 // bisect a suspected kernel difference in production.
 var useScalarKernel = os.Getenv("SMP_SCAN_KERNEL") == "scalar"
 
-// openTerm and closeTerm are the isTagTerminator lookup tables: the bytes
+// openTerm and closeTerm are the IsTagTerminator lookup tables: the bytes
 // that may directly follow a tagname inside a tag (whitespace, '>' and, for
 // opening tags only, '/').
 var openTerm, closeTerm [256]bool

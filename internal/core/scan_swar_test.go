@@ -13,6 +13,23 @@ import (
 	"smp/internal/xmlgen"
 )
 
+// The simplified XMark DTD of paper Fig. 1 (leaf elements are #PCDATA).
+const fig1DTD = `<!DOCTYPE site [
+	<!ELEMENT site (regions)>
+	<!ELEMENT regions (africa, asia, australia)>
+	<!ELEMENT africa (item*)>
+	<!ELEMENT asia (item*)>
+	<!ELEMENT australia (item*)>
+	<!ELEMENT item (location,name,payment,description,shipping,incategory+)>
+	<!ELEMENT incategory EMPTY>
+	<!ATTLIST incategory category ID #REQUIRED>
+	<!ELEMENT location (#PCDATA)>
+	<!ELEMENT name (#PCDATA)>
+	<!ELEMENT payment (#PCDATA)>
+	<!ELEMENT description (#PCDATA)>
+	<!ELEMENT shipping (#PCDATA)>
+]>`
+
 // prefixScanDTD has tagnames that are prefixes of each other around the
 // 8-byte word boundary ("<Abstract" is 9 bytes, "<AbstractText" 13), so the
 // SWAR word compare alone cannot decide them and the >8-byte tail compare

@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// Stats collects the runtime counters of one run: on the paper's Fig. 4
-// engine the columns of its Tables I and II, on the production pipeline
-// what its scan kernels and replays do.
+// Stats collects the runtime counters of one run: what the production
+// pipeline's scan kernels and replays do. The paper's Fig. 4 engine
+// (internal/fig4) reports the same counters and adds the columns of the
+// paper's Tables I and II that only it measures.
 type Stats struct {
 	// BytesRead is the document size in bytes (the window reads everything;
 	// only a fraction is inspected).
@@ -15,40 +16,23 @@ type Stats struct {
 	// BytesWritten is the size of the projected output ("Proj. Size").
 	BytesWritten int64
 	// CharComparisons is the number of characters inspected ("Char
-	// Comp."). On the Fig. 4 engine: string-matcher comparisons plus the
-	// characters examined while verifying matches and scanning for tag
-	// ends. On the production pipeline: the characters its keyword
-	// verification and tag-end scans examine — the same on every scan
-	// kernel; the '<' anchors the kernels find are not counted.
+	// Comp."): those the keyword verification and tag-end scans examine,
+	// the same on every scan kernel (the '<' anchors the kernels find are
+	// not counted); on the Fig. 4 engine also its string matchers'.
 	CharComparisons int64
 	// BytesScanned is the production scan's work: the bytes its kernels
 	// covered, summed over the segments they scanned. Zero on the Fig. 4
 	// engine and on runs replayed from an index.
 	BytesScanned int64
-	// InitialJumpBytes is the number of characters skipped by initial jump
-	// offsets alone ("Initial Jumps"); Shifts and ShiftTotal accumulate the
-	// forward shifts performed by the string matchers ("Ø Shift Size").
-	// Only the Fig. 4 engine skips or shifts: the production pipeline
-	// leaves all three zero.
-	InitialJumpBytes int64
-	Shifts           int64
-	ShiftTotal       int64
 	// TagsMatched counts tag tokens the runtime automaton consumed.
 	TagsMatched int64
 	// RejectedMatches counts keyword occurrences discarded by the
 	// verification scan (tagname-prefix collisions such as
 	// Abstract/AbstractText).
 	RejectedMatches int64
-	// States is the total number of runtime-automaton states; CWStates and
-	// BMStates count the states for which Commentz-Walter respectively
-	// Boyer-Moore lookup tables exist ("States (CW + BM)").
-	States   int
-	CWStates int
-	BMStates int
-	// MatchersBuilt counts the Fig. 4 engine's matcher tables, built once
-	// per plan by core.NewFromPlan; no run ever constructs one. The
-	// production pipeline builds none and leaves it zero.
-	MatchersBuilt int
+	// States is the total number of runtime-automaton states (their static
+	// CW + BM split is compile.Stats).
+	States int
 	// MaxBufferBytes is the high-water mark of the streaming window — the
 	// per-run memory. The shared table memory is reported separately by
 	// PlanStats (together they approximate the paper's "Mem" column).
@@ -80,8 +64,8 @@ type Stats struct {
 	// (per-write clock reads are not free), and ReplayDuration is the
 	// remainder — so without a trace it also absorbs the stitch time.
 	// Every production projection is staged, single queries included; only
-	// the paper's serial engine in this package (the §V reproduction and
-	// the test oracle) leaves all three zero.
+	// the paper's serial engine (internal/fig4, the §V reproduction and the
+	// test oracle) leaves all three zero.
 	ScanDuration   time.Duration
 	ReplayDuration time.Duration
 	StitchDuration time.Duration
@@ -95,23 +79,6 @@ func (s Stats) CharCompPercent() float64 {
 	return 100 * float64(s.CharComparisons) / float64(s.BytesRead)
 }
 
-// InitialJumpPercent returns the characters skipped by initial jumps
-// relative to the document size.
-func (s Stats) InitialJumpPercent() float64 {
-	if s.BytesRead == 0 {
-		return 0
-	}
-	return 100 * float64(s.InitialJumpBytes) / float64(s.BytesRead)
-}
-
-// AvgShift returns the average forward shift size in characters.
-func (s Stats) AvgShift() float64 {
-	if s.Shifts == 0 {
-		return 0
-	}
-	return float64(s.ShiftTotal) / float64(s.Shifts)
-}
-
 // OutputRatio returns the projected size relative to the input size.
 func (s Stats) OutputRatio() float64 {
 	if s.BytesRead == 0 {
@@ -122,26 +89,19 @@ func (s Stats) OutputRatio() float64 {
 
 // Add merges other's counters into s, for callers that aggregate several
 // runs (a batch of documents, or the per-query legs of one multi-query
-// pass): the work counters — bytes, comparisons, jumps, shifts, tags,
-// rejections — and the table sizes (States, CWStates, BMStates,
-// MatchersBuilt, which sum to the total automaton size driven by the merged
-// runs) are added, while MaxBufferBytes keeps the largest single-run
-// high-water mark, since runs that did not overlap in time never held their
-// buffers together.
+// pass): the work counters — bytes, comparisons, tags, rejections — and
+// States (which sums to the total automaton size driven by the merged runs)
+// are added, while MaxBufferBytes keeps the largest single-run high-water
+// mark, since runs that did not overlap in time never held their buffers
+// together.
 func (s *Stats) Add(other Stats) {
 	s.BytesRead += other.BytesRead
 	s.BytesWritten += other.BytesWritten
 	s.CharComparisons += other.CharComparisons
 	s.BytesScanned += other.BytesScanned
-	s.InitialJumpBytes += other.InitialJumpBytes
-	s.Shifts += other.Shifts
-	s.ShiftTotal += other.ShiftTotal
 	s.TagsMatched += other.TagsMatched
 	s.RejectedMatches += other.RejectedMatches
 	s.States += other.States
-	s.CWStates += other.CWStates
-	s.BMStates += other.BMStates
-	s.MatchersBuilt += other.MatchersBuilt
 	if other.MaxBufferBytes > s.MaxBufferBytes {
 		s.MaxBufferBytes = other.MaxBufferBytes
 	}
@@ -154,10 +114,8 @@ func (s *Stats) Add(other Stats) {
 	s.StitchDuration += other.StitchDuration
 }
 
-// String renders the stats in the shape of one Table I column.
+// String renders the counters of one run in one line.
 func (s Stats) String() string {
-	return fmt.Sprintf(
-		"proj=%dB mem=%dB states=%d(%d+%d) shift=%.2f jumps=%.2f%% charcomp=%.2f%%",
-		s.BytesWritten, s.MaxBufferBytes, s.States, s.CWStates, s.BMStates,
-		s.AvgShift(), s.InitialJumpPercent(), s.CharCompPercent())
+	return fmt.Sprintf("proj=%dB mem=%dB states=%d charcomp=%.2f%%",
+		s.BytesWritten, s.MaxBufferBytes, s.States, s.CharCompPercent())
 }

@@ -17,8 +17,7 @@ import (
 )
 
 // Engine is the per-document prefiltering interface the runner drives;
-// *core.Prefilter satisfies it directly, and smp.Batch adapts its pipeline
-// engine to it. The batch context is passed into every run, so cancelling
+// smp.Batch adapts its pipeline engine to it. The batch context is passed into every run, so cancelling
 // the batch aborts in-flight projections at their next chunk or segment
 // boundary rather than only skipping unstarted jobs.
 type Engine interface {

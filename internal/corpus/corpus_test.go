@@ -15,12 +15,15 @@ import (
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
+	"smp/internal/testutil"
 	"smp/internal/xmlgen"
 )
 
-// testEngine compiles the XM13-style query over the XMark-like DTD.
-func testEngine(t testing.TB) *core.Prefilter {
+// testEngine compiles the XM13-style query over the XMark-like DTD and runs
+// it on the paper's Fig. 4 engine.
+func testEngine(t testing.TB) testutil.CorpusEngine {
 	t.Helper()
 	schema := dtd.MustParse(xmlgen.XMarkDTD())
 	q, ok := xmlgen.QueryByID("XM13")
@@ -31,7 +34,7 @@ func testEngine(t testing.TB) *core.Prefilter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.New(table, core.Options{})
+	return testutil.CorpusEngine{Prefilter: fig4.New(core.NewPlan(table, core.Options{}), fig4.Options{})}
 }
 
 // testDocs generates n distinct small XMark-like documents.
@@ -80,7 +83,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}
 
 	// Per-worker engines built from one plan: private buffer pools, one
-	// shared copy of the compiled tables.
+	// shared copy of the automaton and tag strings.
 	sharedPlan := engine.Plan()
 
 	configs := []struct {
@@ -89,7 +92,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}{
 		{"SharedEngine", Runner{Engine: engine, Workers: 4}},
 		{"PerWorkerEngine", Runner{NewEngine: func() Engine { return testEngine(t) }, Workers: 4}},
-		{"PerWorkerSharedPlan", Runner{NewEngine: func() Engine { return core.NewFromPlan(sharedPlan) }, Workers: 4}},
+		{"PerWorkerSharedPlan", Runner{NewEngine: func() Engine { return testutil.CorpusEngine{Prefilter: fig4.New(sharedPlan, fig4.Options{})} }, Workers: 4}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

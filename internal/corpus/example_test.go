@@ -10,7 +10,9 @@ import (
 	"smp/internal/core"
 	"smp/internal/corpus"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
+	"smp/internal/testutil"
 )
 
 // The simplified XMark DTD of paper Fig. 1.
@@ -39,7 +41,7 @@ func ExampleRunner() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.New(table, core.Options{})
+	engine := testutil.CorpusEngine{Prefilter: fig4.New(core.NewPlan(table, core.Options{}), fig4.Options{})}
 
 	doc := []byte(`<site><regions><africa/><asia/><australia><item><location>Egypt</location><name>PDA</name><payment>Check</payment><description>Palm Zire 71</description><shipping/><incategory category="3"/></item></australia></regions></site>`)
 	jobs := []corpus.Job{
@@ -69,7 +71,7 @@ func ExampleJob_Dst() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine := core.New(table, core.Options{})
+	engine := testutil.CorpusEngine{Prefilter: fig4.New(core.NewPlan(table, core.Options{}), fig4.Options{})}
 
 	doc := []byte(`<site><regions><africa/><asia/><australia><item><location>X</location><name>N</name><payment>P</payment><description>D</description><shipping/><incategory category="1"/></item></australia></regions></site>`)
 

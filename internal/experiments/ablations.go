@@ -5,6 +5,7 @@ import (
 
 	"smp/internal/compile"
 	"smp/internal/core"
+	"smp/internal/fig4"
 	"smp/internal/stats"
 	"smp/internal/xmlgen"
 )
@@ -24,19 +25,19 @@ func AblationAlgorithms(cfg Config) (*stats.Table, error) {
 
 	configs := []struct {
 		name string
-		opts core.Options
+		opts fig4.Options
 	}{
-		{"BM + CW (paper)", core.Options{Single: core.SingleBoyerMoore, Multi: core.MultiCommentzWalter}},
-		{"Horspool + SetHorspool", core.Options{Single: core.SingleHorspool, Multi: core.MultiSetHorspool}},
-		{"BM + Aho-Corasick", core.Options{Single: core.SingleBoyerMoore, Multi: core.MultiAhoCorasick}},
-		{"Naive + Naive", core.Options{Single: core.SingleNaive, Multi: core.MultiNaive}},
+		{"BM + CW (paper)", fig4.Options{Single: fig4.SingleBoyerMoore, Multi: fig4.MultiCommentzWalter}},
+		{"Horspool + SetHorspool", fig4.Options{Single: fig4.SingleHorspool, Multi: fig4.MultiSetHorspool}},
+		{"BM + Aho-Corasick", fig4.Options{Single: fig4.SingleBoyerMoore, Multi: fig4.MultiAhoCorasick}},
+		{"Naive + Naive", fig4.Options{Single: fig4.SingleNaive, Multi: fig4.MultiNaive}},
 	}
 	t := stats.NewTable(
 		fmt.Sprintf("Ablation — string matching algorithms (query %s, %s XMark-like document)",
 			q.ID, stats.FormatBytes(int64(len(w.doc)))),
 		"Configuration", "Time", "Char Comp. [%]", "Ø Shift [char]", "Throughput MB/s")
 	for _, c := range configs {
-		res, err := runOne(w, q, compile.Options{}, c.opts)
+		res, err := runOne(w, q, compile.Options{}, core.Options{}, c.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -64,11 +65,11 @@ func AblationInitialJumps(cfg Config) (*stats.Table, error) {
 		if !cfg.wantQuery(q.ID) {
 			continue
 		}
-		withJ, err := runOne(w, q, compile.Options{}, core.Options{})
+		withJ, err := runOne(w, q, compile.Options{}, core.Options{}, fig4.Options{})
 		if err != nil {
 			return nil, err
 		}
-		withoutJ, err := runOne(w, q, compile.Options{DisableInitialJumps: true}, core.Options{})
+		withoutJ, err := runOne(w, q, compile.Options{DisableInitialJumps: true}, core.Options{}, fig4.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +93,7 @@ func AblationChunkSize(cfg Config) (*stats.Table, error) {
 			q.ID, stats.FormatBytes(int64(len(w.doc)))),
 		"Chunk", "Time", "Window high-water mark", "Throughput MB/s")
 	for _, chunk := range []int{4 << 10, 8 << 10, 32 << 10, 128 << 10, 512 << 10} {
-		res, err := runOne(w, q, compile.Options{}, core.Options{ChunkSize: chunk})
+		res, err := runOne(w, q, compile.Options{}, core.Options{ChunkSize: chunk}, fig4.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
 	"smp/internal/projection"
 	"smp/internal/query"
@@ -96,7 +97,7 @@ func medlineWorkload(cfg Config) workload {
 // column corresponds to Compile+Run; throughput comparisons use Run alone,
 // because a compiled prefilter is reused across documents.
 type runResult struct {
-	Stats   core.Stats
+	Stats   fig4.Stats
 	Compile time.Duration
 	Run     time.Duration
 }
@@ -105,7 +106,7 @@ type runResult struct {
 func (r runResult) Total() time.Duration { return r.Compile + r.Run }
 
 // runOne compiles and executes one query's prefiltering task.
-func runOne(w workload, q xmlgen.Query, copts compile.Options, ropts core.Options) (runResult, error) {
+func runOne(w workload, q xmlgen.Query, copts compile.Options, popts core.Options, fopts fig4.Options) (runResult, error) {
 	set, err := paths.ParseSet(q.Paths)
 	if err != nil {
 		return runResult{}, fmt.Errorf("%s: %w", q.ID, err)
@@ -117,7 +118,7 @@ func runOne(w workload, q xmlgen.Query, copts compile.Options, ropts core.Option
 	}
 	compileElapsed := compileTimer.Elapsed()
 
-	pf := core.New(table, ropts)
+	pf := fig4.New(core.NewPlan(table, popts), fopts)
 	runTimer := stats.StartTimer()
 	_, st, err := pf.ProjectBytes(context.Background(), w.doc)
 	if err != nil {
@@ -153,7 +154,7 @@ func characteristicsTable(cfg Config, w workload, title, paperNote string) (*sta
 		if !cfg.wantQuery(q.ID) {
 			continue
 		}
-		res, err := runOne(w, q, compile.Options{}, core.Options{})
+		res, err := runOne(w, q, compile.Options{}, core.Options{}, fig4.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +218,7 @@ func TableIII(cfg Config) (*stats.Table, error) {
 			}
 			baseOut = out
 
-			r, err := runOne(w, q, compile.Options{}, core.Options{})
+			r, err := runOne(w, q, compile.Options{}, core.Options{}, fig4.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -254,7 +255,7 @@ func Fig7a(cfg Config) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pf := core.New(table, core.Options{})
+	pf := fig4.New(core.NewPlan(table, core.Options{}), fig4.Options{})
 
 	t := stats.NewTable(
 		fmt.Sprintf("Fig. 7(a) — in-memory engine (budget %s) alone vs. SMP + engine, query XM13",
@@ -322,7 +323,7 @@ func Fig7b(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.ID, err)
 		}
-		pf := core.New(table, core.Options{})
+		pf := fig4.New(core.NewPlan(table, core.Options{}), fig4.Options{})
 
 		aloneTimer := stats.StartTimer()
 		aloneRes, err := engine.EvaluateWorkload(bytesReader(w.doc), set, nil)
@@ -396,7 +397,7 @@ func Fig7c(cfg Config) (*stats.Table, error) {
 			if !cfg.wantQuery(q.ID) {
 				continue
 			}
-			res, err := runOne(w, q, compile.Options{}, core.Options{})
+			res, err := runOne(w, q, compile.Options{}, core.Options{}, fig4.Options{})
 			if err != nil {
 				return nil, err
 			}

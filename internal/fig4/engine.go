@@ -1,35 +1,26 @@
-// Package core implements the SMP runtime algorithm (paper Fig. 4): a
-// single-pass, skip-based scan over the XML input that switches between
-// string matching problems as directed by the precompiled runtime automaton,
-// and copies exactly the query-relevant parts of the document to the output.
-//
-// The package is split along the paper's static/runtime phase boundary. The
-// Plan (plan.go) holds what every execution path shares: the lookup tables
-// and the interned tag strings. The string matchers, vocabulary orders and
-// keyword length bounds are this engine's alone (searchTables below), built
-// once per plan by NewFromPlan; the engines hold only per-run state — the
-// streaming window, the copy region and the counters.
-//
-// The engine reads the input through a forward-moving window of fixed chunk
-// size (the paper uses eight times the system page size). Within the window
-// the string matchers jump back and forth; across iterations only data
-// needed for pending copy regions is retained, so memory stays proportional
-// to the chunk size.
-package core
+// Package fig4 is the paper's runtime algorithm (Fig. 4): a skip-based scan
+// that searches each state's frontier vocabulary of a core.Plan with
+// Boyer-Moore (one keyword) or Commentz-Walter (several) and copies exactly
+// the query-relevant parts of the document to the output. It reproduces the
+// paper's Tables I/II (internal/experiments) and is the tests' serial
+// reference; no product package imports it. Its matcher tables are built
+// once by New; the pooled engines hold only per-run state, reading the input
+// through a forward-moving window of fixed chunk size, so memory stays
+// proportional to the chunk size.
+package fig4
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"sort"
 	"sync"
 
 	"smp/internal/compile"
+	"smp/internal/core"
 	"smp/internal/glushkov"
 	"smp/internal/mmapio"
-	"smp/internal/projection"
 	"smp/internal/stringmatch"
 )
 
@@ -64,15 +55,8 @@ const (
 	MultiNaive
 )
 
-// DefaultChunkSize is the streaming window chunk: eight times a common 4 KiB
-// page, as in the paper's prototype.
-const DefaultChunkSize = 8 * 4096
-
-// Options configures the runtime engine.
+// Options selects the engine's string matchers.
 type Options struct {
-	// ChunkSize is the window read granularity in bytes (default
-	// DefaultChunkSize).
-	ChunkSize int
 	// Single selects the single-keyword search algorithm.
 	Single SingleAlgorithm
 	// Multi selects the multi-keyword search algorithm.
@@ -81,31 +65,29 @@ type Options struct {
 
 // Prefilter executes XML prefiltering for one compiled Plan. It is safe for
 // concurrent use by multiple goroutines: all table state lives in the
-// immutable shared Plan and its search tables, and each run borrows a
-// buffer-only engine (window chunk buffer plus counters) from an internal
-// sync.Pool, so steady-state runs allocate nothing but what the run itself
-// writes.
+// immutable shared Plan and the prefilter's search tables, and each run
+// borrows a buffer-only engine (window chunk buffer plus counters) from an
+// internal sync.Pool, so steady-state runs allocate nothing but what the
+// run itself writes.
 type Prefilter struct {
-	plan *Plan
-	pool sync.Pool // of *engine
+	plan   *core.Plan
+	search *searchTables
+	pool   sync.Pool // of *engine
 }
 
-// New compiles a Plan from the table and wraps it in a prefilter.
-func New(table *compile.Table, opts Options) *Prefilter {
-	return NewFromPlan(NewPlan(table, opts))
-}
-
-// NewFromPlan wraps an existing Plan in a prefilter. The first call for a
-// plan builds the engine's string-matcher tables; later ones share them, so
-// no matcher construction happens on the project path and any number of
-// prefilters (e.g. one per corpus worker) hold one copy of the tables.
-func NewFromPlan(plan *Plan) *Prefilter {
-	plan.searchOnce.Do(func() { plan.search = newSearchTables(plan.table, plan.opts) })
-	p := &Prefilter{plan: plan}
+// New builds the string-matcher tables for the plan's automaton and wraps
+// both in a prefilter. The tables are built here, once: no matcher
+// construction happens on the project path, and every run and goroutine of
+// the prefilter shares them. Prefilters built from one plan share its
+// automaton and tag strings.
+func New(plan *core.Plan, opts Options) *Prefilter {
+	p := &Prefilter{plan: plan, search: newSearchTables(plan.Table(), opts)}
 	p.pool.New = func() interface{} {
 		return &engine{
-			plan: plan,
-			win:  newWindow(nil, plan.opts.ChunkSize),
+			plan:   plan,
+			table:  plan.Table(),
+			search: p.search,
+			win:    newWindow(nil, plan.Options().ChunkSize),
 		}
 	}
 	return p
@@ -217,15 +199,9 @@ func vocabularyByLength(st *compile.State) []int {
 	return order
 }
 
-// Table returns the compiled runtime automaton the prefilter executes.
-func (p *Prefilter) Table() *compile.Table { return p.plan.table }
-
 // Plan returns the immutable execution plan the prefilter shares across its
 // pooled engines.
-func (p *Prefilter) Plan() *Plan { return p.plan }
-
-// PlanStats returns the size and footprint of the shared plan.
-func (p *Prefilter) PlanStats() PlanStats { return p.plan.stats }
+func (p *Prefilter) Plan() *core.Plan { return p.plan }
 
 // RunOptions are the per-run overrides of a single projection; the zero
 // value keeps the plan's configuration.
@@ -266,18 +242,9 @@ func (p *Prefilter) ProjectWith(ctx context.Context, dst io.Writer, src io.Reade
 			return stats, err
 		}
 	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = p.plan.opts.ChunkSize
-	}
 	e := p.pool.Get().(*engine)
-	e.reset(ctx, src, dst, chunk)
-	err := e.run()
-	e.finishStats()
-	stats := e.stats
-	e.release()
-	p.pool.Put(e)
-	return stats, err
+	e.win.reset(ctx, src, p.chunk(opts))
+	return p.run(e, dst)
 }
 
 // ProjectBytesWith prefilters an in-memory document zero-copy: the engine
@@ -290,22 +257,34 @@ func (p *Prefilter) ProjectBytesWith(ctx context.Context, dst io.Writer, doc []b
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = p.plan.opts.ChunkSize
-	}
 	e := p.pool.Get().(*engine)
-	e.win.pinTo(ctx, doc, chunk)
+	e.win.pinTo(ctx, doc, p.chunk(opts))
+	stats, err := p.run(e, dst)
+	stats.ZeroCopyInput = true
+	return stats, err
+}
+
+// chunk resolves the window chunk size of one run.
+func (p *Prefilter) chunk(opts RunOptions) int {
+	if opts.ChunkSize > 0 {
+		return opts.ChunkSize
+	}
+	return p.plan.Options().ChunkSize
+}
+
+// run executes one projection on a pooled engine whose window is already
+// bound to the input, and returns the engine to the pool. The window chunk
+// buffer is the only state carried over between runs — reusing it is what
+// makes steady-state runs cheap.
+func (p *Prefilter) run(e *engine, dst io.Writer) (Stats, error) {
 	e.out = dst
-	e.copyActive = false
-	e.copyStart = 0
+	e.copyActive, e.copyStart = false, 0
 	e.match = stringmatch.Counters{}
 	e.stats = Stats{}
 	e.writeErr = nil
 	err := e.run()
 	e.finishStats()
 	stats := e.stats
-	stats.ZeroCopyInput = true
 	e.release()
 	p.pool.Put(e)
 	return stats, err
@@ -321,11 +300,14 @@ func (p *Prefilter) ProjectBytes(ctx context.Context, doc []byte) ([]byte, Stats
 
 // engine is the per-run state of the runtime algorithm: the streaming
 // window, the open copy region and the counters. Everything it looks up —
-// matchers, tag strings, vocabulary orders — comes from the shared Plan.
+// matchers, tag strings, vocabulary orders — comes from the shared Plan and
+// the prefilter's search tables.
 type engine struct {
-	plan *Plan
-	win  *window
-	out  io.Writer
+	plan   *core.Plan
+	table  *compile.Table
+	search *searchTables
+	win    *window
+	out    io.Writer
 
 	copyActive bool
 	copyStart  int64
@@ -338,20 +320,6 @@ type engine struct {
 	writeErr error
 }
 
-// reset prepares a pooled engine for a fresh run: it rebinds the input,
-// output and run context and zeroes the run counters. The window chunk
-// buffer is the only state carried over — reusing it is what makes
-// steady-state runs cheap.
-func (e *engine) reset(ctx context.Context, r io.Reader, w io.Writer, chunk int) {
-	e.win.reset(ctx, r, chunk)
-	e.out = w
-	e.copyActive = false
-	e.copyStart = 0
-	e.match = stringmatch.Counters{}
-	e.stats = Stats{}
-	e.writeErr = nil
-}
-
 // release drops the references a pooled engine holds into caller-owned
 // values, so the pool does not pin a caller's reader, writer or context
 // alive.
@@ -362,17 +330,13 @@ func (e *engine) release() {
 	e.out = nil
 }
 
-// MaxTagLength bounds the scan for a tag's closing bracket; a longer "tag"
-// indicates input that is not well-formed XML (for example a stray '<').
-const MaxTagLength = 1 << 20
-
 // run executes the algorithm of paper Fig. 4.
 func (e *engine) run() error {
-	q := e.plan.table.Initial
+	q := e.table.Initial
 	cursor := int64(0)
 
 	for {
-		st := e.plan.table.State(q)
+		st := e.table.State(q)
 		if len(st.Vocabulary) == 0 {
 			// Nothing left to search for; the state is final by construction.
 			break
@@ -395,7 +359,7 @@ func (e *engine) run() error {
 			if st.Final {
 				break
 			}
-			return EndOfInputError(q, st)
+			return core.EndOfInputError(q, st)
 		}
 		kw := st.Vocabulary[kwIdx]
 
@@ -411,26 +375,26 @@ func (e *engine) run() error {
 		// Transition (table A) and action (table T), treating a bachelor tag
 		// as its opening tag immediately followed by its closing tag.
 		if kw.Token.Close {
-			next := e.plan.table.Successor(q, kw.Token)
+			next := e.table.Successor(q, kw.Token)
 			if next < 0 {
-				return TransitionError(q, kw.Token)
+				return core.TransitionError(q, kw.Token)
 			}
-			e.performClose(e.plan.table.State(next), tagEnd, false)
+			e.performClose(e.table.State(next), tagEnd, false)
 			q = next
 		} else {
-			next := e.plan.table.Successor(q, kw.Token)
+			next := e.table.Successor(q, kw.Token)
 			if next < 0 {
-				return TransitionError(q, kw.Token)
+				return core.TransitionError(q, kw.Token)
 			}
-			e.performOpen(e.plan.table.State(next), pos, tagEnd, bachelor)
+			e.performOpen(e.table.State(next), pos, tagEnd, bachelor)
 			q = next
 			if bachelor {
 				closeTok := glushkov.Closing(kw.Token.Name)
-				nextClose := e.plan.table.Successor(q, closeTok)
+				nextClose := e.table.Successor(q, closeTok)
 				if nextClose < 0 {
-					return TransitionError(q, closeTok)
+					return core.TransitionError(q, closeTok)
 				}
-				e.performClose(e.plan.table.State(nextClose), tagEnd, true)
+				e.performClose(e.table.State(nextClose), tagEnd, true)
 				q = nextClose
 			}
 		}
@@ -453,46 +417,10 @@ func (e *engine) run() error {
 	return e.writeErr
 }
 
-func describeState(st *compile.State) string {
-	if st.Label == "" {
-		return "initial state"
-	}
-	if st.Close {
-		return "after </" + st.Label + ">"
-	}
-	return "after <" + st.Label + ">"
-}
-
-// The error constructors below are shared verbatim by the serial engine and
-// the parallel replays (internal/pipeline), so the two paths cannot drift
-// apart in what they report for the same document.
-
-// EndOfInputError is the error for an input that ends while the automaton
-// still expects vocabulary in a non-final state.
-func EndOfInputError(q int, st *compile.State) error {
-	return fmt.Errorf("core: unexpected end of input in state q%d (%s): document does not conform to the DTD", q, describeState(st))
-}
-
-// TransitionError is the error for a matched token with no transition.
-func TransitionError(q int, tok glushkov.Token) error {
-	return fmt.Errorf("core: no transition for %s in state q%d: document does not conform to the DTD", tok, q)
-}
-
-// EOFInsideTagError is the error for an input that ends between a matched
-// keyword and its tag's closing '>'.
-func EOFInsideTagError(tagStart int64) error {
-	return fmt.Errorf("core: unexpected end of input inside tag at offset %d", tagStart)
-}
-
-// TagTooLongError is the error for a tag with no '>' within MaxTagLength.
-func TagTooLongError(tagStart int64) error {
-	return fmt.Errorf("core: no '>' within %d bytes of offset %d: input is not well-formed XML", MaxTagLength, tagStart)
-}
-
 // findNext locates the next verified occurrence of any frontier keyword of
 // state q at or after the absolute offset from.
 func (e *engine) findNext(q int, st *compile.State, from int64) (pos int64, kwIdx int, found bool, err error) {
-	minKw, maxKw := e.plan.search.minKw[q], e.plan.search.maxKw[q]
+	minKw, maxKw := e.search.minKw[q], e.search.maxKw[q]
 	searchFrom := from
 	for {
 		if !e.win.ensure(searchFrom + int64(minKw) - 1) {
@@ -507,11 +435,11 @@ func (e *engine) findNext(q int, st *compile.State, from int64) (pos int64, kwId
 		}
 
 		var p, k int
-		if m := e.plan.search.single[q]; m != nil {
+		if m := e.search.single[q]; m != nil {
 			p = m.Next(text, rel, &e.match)
 			k = 0
 		} else {
-			p, k = e.plan.search.multi[q].Next(text, rel, &e.match)
+			p, k = e.search.multi[q].Next(text, rel, &e.match)
 		}
 		if p >= 0 {
 			abs := e.win.base + int64(p)
@@ -554,7 +482,7 @@ func (e *engine) findNext(q int, st *compile.State, from int64) (pos int64, kwId
 // opening tags) '/'. Among several matching keywords the longest wins, which
 // resolves tagname-prefix collisions such as Abstract/AbstractText.
 func (e *engine) verifyAt(q int, st *compile.State, pos int64, reported int) (int, bool, error) {
-	for _, idx := range e.plan.search.vocabOrder[q] {
+	for _, idx := range e.search.vocabOrder[q] {
 		kw := st.Vocabulary[idx]
 		end := pos + int64(len(kw.Keyword))
 		if !e.win.ensure(end) {
@@ -568,24 +496,11 @@ func (e *engine) verifyAt(q int, st *compile.State, pos int64, reported int) (in
 		}
 		c := e.win.byteAt(end)
 		e.stats.CharComparisons++
-		if isTagTerminator(c, kw.Token.Close) {
+		if core.IsTagTerminator(c, kw.Token.Close) {
 			return idx, true, nil
 		}
 	}
 	return 0, false, nil
-}
-
-// isTagTerminator reports whether c may directly follow a tagname inside a
-// tag: whitespace, '>' and, for opening tags, '/'.
-func isTagTerminator(c byte, closing bool) bool {
-	switch c {
-	case ' ', '\t', '\r', '\n', '>':
-		return true
-	case '/':
-		return !closing
-	default:
-		return false
-	}
 }
 
 // scanTagEnd scans right from the end of the keyword for the closing '>' of
@@ -594,13 +509,13 @@ func isTagTerminator(c byte, closing bool) bool {
 // tag ("/>").
 func (e *engine) scanTagEnd(tagStart int64, keywordLen int) (tagEnd int64, bachelor bool, err error) {
 	i := tagStart + int64(keywordLen)
-	var ts TagScan
+	var ts core.TagScan
 	for {
 		if !e.win.ensure(i) {
 			if e.win.readErr != nil {
 				return 0, false, e.win.readErr
 			}
-			return 0, false, EOFInsideTagError(tagStart)
+			return 0, false, core.EOFInsideTagError(tagStart)
 		}
 		e.stats.CharComparisons++
 		done, b := ts.Feed(e.win.byteAt(i))
@@ -608,8 +523,8 @@ func (e *engine) scanTagEnd(tagStart int64, keywordLen int) (tagEnd int64, bache
 			return i, b, nil
 		}
 		i++
-		if i-tagStart > MaxTagLength {
-			return 0, false, TagTooLongError(tagStart)
+		if i-tagStart > core.MaxTagLength {
+			return 0, false, core.TagTooLongError(tagStart)
 		}
 	}
 }
@@ -617,18 +532,19 @@ func (e *engine) scanTagEnd(tagStart int64, keywordLen int) (tagEnd int64, bache
 // performOpen executes the action of the state entered by an opening tag.
 func (e *engine) performOpen(st *compile.State, tagStart, tagEnd int64, bachelor bool) {
 	switch st.Action {
-	case projection.CopySubtree:
+	case compile.CopySubtree:
 		// "copy on": remember where the subtree starts; the matching
 		// "copy off" (or the incremental flush) writes the bytes.
 		e.copyActive = true
 		e.copyStart = tagStart
-	case projection.CopyTagAttrs:
+	case compile.CopyTagAttrs:
 		e.writeRaw(tagStart, tagEnd+1)
-	case projection.CopyTag:
+	case compile.CopyTag:
+		open, _, bach := e.plan.TagBytes(st)
 		if bachelor {
-			e.writeString(e.plan.tag(st).bachelor)
+			e.writeTag(bach)
 		} else {
-			e.writeString(e.plan.tag(st).open)
+			e.writeTag(open)
 		}
 	}
 }
@@ -638,40 +554,37 @@ func (e *engine) performOpen(st *compile.State, tagStart, tagEnd int64, bachelor
 // tag, so nothing further is emitted.
 func (e *engine) performClose(st *compile.State, tagEnd int64, bachelor bool) {
 	switch st.Action {
-	case projection.CopySubtree:
+	case compile.CopySubtree:
 		// "copy off": emit everything from the recorded start position up to
 		// and including the closing tag.
 		if e.copyActive {
 			e.writeRaw(e.copyStart, tagEnd+1)
 			e.copyActive = false
 		} else if !bachelor {
-			e.writeString(e.plan.tag(st).close)
+			_, closeTag, _ := e.plan.TagBytes(st)
+			e.writeTag(closeTag)
 		}
-	case projection.CopyTagAttrs, projection.CopyTag:
+	case compile.CopyTagAttrs, compile.CopyTag:
 		if !bachelor {
-			e.writeString(e.plan.tag(st).close)
+			_, closeTag, _ := e.plan.TagBytes(st)
+			e.writeTag(closeTag)
 		}
 	}
 }
 
 // writeRaw copies the buffered input bytes [from, to) to the output.
 func (e *engine) writeRaw(from, to int64) {
-	if e.writeErr != nil || to <= from {
-		return
-	}
-	n, err := e.out.Write(e.win.slice(from, to))
-	e.stats.BytesWritten += int64(n)
-	if err != nil {
-		e.writeErr = err
+	if to > from {
+		e.writeTag(e.win.slice(from, to))
 	}
 }
 
-// writeString writes a synthesized tag to the output.
-func (e *engine) writeString(s string) {
+// writeTag writes bytes to the output: a synthesized tag or a raw region.
+func (e *engine) writeTag(b []byte) {
 	if e.writeErr != nil {
 		return
 	}
-	n, err := io.WriteString(e.out, s)
+	n, err := e.out.Write(b)
 	e.stats.BytesWritten += int64(n)
 	if err != nil {
 		e.writeErr = err
@@ -685,9 +598,9 @@ func (e *engine) finishStats() {
 	e.stats.Shifts += e.match.Shifts
 	e.stats.ShiftTotal += e.match.ShiftTotal
 	e.stats.BytesRead = e.win.bytesRead
-	e.stats.States = e.plan.table.Stats.States
-	e.stats.CWStates = e.plan.table.Stats.CWStates
-	e.stats.BMStates = e.plan.table.Stats.BMStates
-	e.stats.MatchersBuilt = e.plan.search.built
+	e.stats.States = e.table.Stats.States
+	e.stats.CWStates = e.table.Stats.CWStates
+	e.stats.BMStates = e.table.Stats.BMStates
+	e.stats.MatchersBuilt = e.search.built
 	e.stats.MaxBufferBytes = int64(e.win.maxBuffer)
 }

@@ -1,4 +1,4 @@
-package core
+package fig4
 
 import (
 	"strings"

@@ -3,7 +3,7 @@
 // trace, MultiProject, Batch and the smpserve handlers: K merged queries
 // replaying one shared candidate stream produced by a segment source that
 // scans the document with W workers (W <= 1 selects an in-line sequential
-// scan). The paper's serial Fig. 4 engine in internal/core is not on any
+// scan). The paper's serial Fig. 4 engine (internal/fig4) is not on any
 // production path; it stays as the reproduction of the paper's tables and
 // as the byte-identity reference the internal/testutil grid compares every
 // cell against.
@@ -27,7 +27,7 @@
 // consume it, retiring segments once every live query has passed them.
 //
 // Invariants that make every cell of the K×W grid — K=1, W=1 included —
-// byte-identical to a standalone serial core run of each query:
+// byte-identical to a standalone serial Fig. 4 run of each query:
 //
 //   - Candidates are position-exhaustive for the union vocabulary: every
 //     occurrence any query's state-local search could verify appears in

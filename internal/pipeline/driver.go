@@ -8,7 +8,6 @@ import (
 	"smp/internal/core"
 	"smp/internal/glushkov"
 	"smp/internal/obs"
-	"smp/internal/projection"
 )
 
 // Logical trace-thread ids for the stage spans a traced run records. Tid 0
@@ -320,12 +319,12 @@ func (d *driver) segmentAt(off int64) (*mseg, error) {
 // (mirror of the serial engine's performOpen, writing to k's output).
 func (d *driver) performOpen(k *qrun, st *compile.State, tagStart, tagEnd int64, bachelor bool) {
 	switch st.Action {
-	case projection.CopySubtree:
+	case compile.CopySubtree:
 		k.copyActive = true
 		k.copyStart = tagStart
-	case projection.CopyTagAttrs:
+	case compile.CopyTagAttrs:
 		d.writeRaw(k, tagStart, tagEnd+1)
-	case projection.CopyTag:
+	case compile.CopyTag:
 		open, _, bach := k.plan.TagBytes(st)
 		if bachelor {
 			d.writeTag(k, bach)
@@ -339,7 +338,7 @@ func (d *driver) performOpen(k *qrun, st *compile.State, tagStart, tagEnd int64,
 // (mirror of the serial engine's performClose).
 func (d *driver) performClose(k *qrun, st *compile.State, tagEnd int64, bachelor bool) {
 	switch st.Action {
-	case projection.CopySubtree:
+	case compile.CopySubtree:
 		if k.copyActive {
 			d.writeRaw(k, k.copyStart, tagEnd+1)
 			k.copyActive = false
@@ -347,7 +346,7 @@ func (d *driver) performClose(k *qrun, st *compile.State, tagEnd int64, bachelor
 			_, closeTag, _ := k.plan.TagBytes(st)
 			d.writeTag(k, closeTag)
 		}
-	case projection.CopyTagAttrs, projection.CopyTag:
+	case compile.CopyTagAttrs, compile.CopyTag:
 		if !bachelor {
 			_, closeTag, _ := k.plan.TagBytes(st)
 			d.writeTag(k, closeTag)
@@ -507,8 +506,6 @@ func (d *driver) result() (Result, error) {
 	for i, k := range d.queries {
 		k.stats.BytesRead = res.Scan.BytesRead
 		k.stats.States = k.table.Stats.States
-		k.stats.CWStates = k.table.Stats.CWStates
-		k.stats.BMStates = k.table.Stats.BMStates
 		res.Query[i] = k.stats
 		if k.err != nil {
 			failed = true

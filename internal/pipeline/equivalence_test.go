@@ -1,6 +1,6 @@
 // The differential equivalence suite of the unified K×W pipeline: every
 // test in this file compares pipeline output byte-for-byte against the
-// serial single-query core engine, which is the correctness reference. The
+// serial single-query Fig. 4 engine, which is the correctness reference. The
 // full grid lives in TestEquivalenceGrid (driven by internal/testutil); the
 // remaining tests pin specific adversarial shapes — boundary straddling,
 // malformed inputs, failing readers and writers, cancellation, concurrent
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"smp/internal/core"
+	"smp/internal/fig4"
 	"smp/internal/pipeline"
 	"smp/internal/testutil"
 )
@@ -218,7 +219,7 @@ func TestReadErrorMidStream(t *testing.T) {
 	// handed to the serial path prefix-first; the underlying error must
 	// surface and the readable prefix must still have been projected.
 	var serialOut bytes.Buffer
-	_, serialErr := core.NewFromPlan(plans[0]).Project(context.Background(), &serialOut, testutil.ErrReader(doc[:100], boom))
+	_, serialErr := fig4.New(plans[0], fig4.Options{}).Project(context.Background(), &serialOut, testutil.ErrReader(doc[:100], boom))
 	if !errors.Is(serialErr, boom) {
 		t.Fatalf("serial first-block err = %v, want %v", serialErr, boom)
 	}
@@ -271,7 +272,7 @@ func TestSerialFallback(t *testing.T) {
 	doc := testutil.BuildFig1Doc(4 << 10)
 	plan := testutil.MakePlan(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{})
 	eng := pipeline.New([]*core.Plan{plan})
-	want, _, err := core.NewFromPlan(plan).ProjectBytes(context.Background(), doc)
+	want, _, err := fig4.New(plan, fig4.Options{}).ProjectBytes(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}

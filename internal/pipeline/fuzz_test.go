@@ -12,6 +12,7 @@ import (
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
 	"smp/internal/pipeline"
 	"smp/internal/testutil"
@@ -88,7 +89,7 @@ func checkAgainstSerial(t *testing.T, eng *pipeline.Engine, doc []byte, opts pip
 	_, runErr := eng.Project(context.Background(), dsts, bytes.NewReader(doc), opts)
 	errs := testutil.PerQueryErrors(t, runErr, len(plans))
 	for i, plan := range plans {
-		want, _, wantErr := core.NewFromPlan(plan).ProjectBytes(context.Background(), doc)
+		want, _, wantErr := fig4.New(plan, fig4.Options{}).ProjectBytes(context.Background(), doc)
 		if (wantErr == nil) != (errs[i] == nil) {
 			t.Fatalf("%s query %d: serial err = %v, pipeline err = %v", label, i, wantErr, errs[i])
 		}

@@ -16,6 +16,7 @@ import (
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/paths"
 	"smp/internal/xmlgen"
 )
@@ -159,7 +160,7 @@ func TestParallelStraddleBeyondScanAhead(t *testing.T) {
 	attr := strings.Repeat("x", 40*scanAhead(workers)*(segSize+overlap))
 	doc := []byte(`<r><rec a="` + attr + `">text</rec><rec>b</rec></r>`)
 
-	want, _, err := core.NewFromPlan(plan).ProjectBytes(context.Background(), doc)
+	want, _, err := fig4.New(plan, fig4.Options{}).ProjectBytes(context.Background(), doc)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}

@@ -187,8 +187,9 @@ func TestStreamAndDOMAgree(t *testing.T) {
 
 // TestPipelinedPrefilterPreservesResults is the Fig. 7(b) correctness core:
 // evaluating a query on the prefiltered document gives the same matches as
-// on the original. (The prefilter itself is exercised in internal/core; here
-// the reference projector stands in, keeping the package dependency-light.)
+// on the original. (The prefilter itself is exercised in internal/fig4 and
+// internal/pipeline; here the reference projector stands in, keeping the
+// package dependency-light.)
 func TestResultAdd(t *testing.T) {
 	var r Result
 	r.Add(Result{Matches: 2, OutputBytes: 10})

@@ -20,6 +20,7 @@ import (
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/dtd"
+	"smp/internal/fig4"
 	"smp/internal/index"
 	"smp/internal/paths"
 	"smp/internal/pipeline"
@@ -106,12 +107,24 @@ func BuildPrefixDoc(n int) []byte {
 	return b.Bytes()
 }
 
-// SerialProject runs plan standalone through the serial core engine — the
-// byte-identity reference every pipeline cell is compared against.
+// SerialProject runs plan standalone through the paper's serial engine
+// (internal/fig4) — the byte-identity reference every pipeline cell is
+// compared against.
 func SerialProject(t testing.TB, plan *core.Plan, doc []byte) ([]byte, error) {
 	t.Helper()
-	out, _, err := core.NewFromPlan(plan).ProjectBytes(context.Background(), doc)
+	out, _, err := fig4.New(plan, fig4.Options{}).ProjectBytes(context.Background(), doc)
 	return out, err
+}
+
+// CorpusEngine adapts the Fig. 4 engine to the counters internal/corpus
+// aggregates (core.Stats), so a batch can run it as its serial reference.
+type CorpusEngine struct{ *fig4.Prefilter }
+
+// Project runs the Fig. 4 engine and returns the counters it shares with the
+// production pipeline.
+func (e CorpusEngine) Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error) {
+	st, err := e.Prefilter.Project(ctx, dst, src)
+	return st.Stats, err
 }
 
 // FirstDiff returns the region around the first byte where a and b differ.

@@ -270,19 +270,23 @@ func TestBatchModeMismatchFails(t *testing.T) {
 	}
 }
 
-// TestStatsAdd pins the Stats merge helper: work counters sum, the buffer
-// high-water mark keeps the maximum.
+// TestStatsAdd pins the Stats merge helper over every field: work counters
+// and durations sum, the buffer high-water mark keeps the maximum, and
+// ZeroCopyInput is set if any merged run had it.
 func TestStatsAdd(t *testing.T) {
-	a := Stats{BytesRead: 10, BytesWritten: 1, CharComparisons: 5, InitialJumpBytes: 2,
-		Shifts: 3, ShiftTotal: 30, TagsMatched: 4, RejectedMatches: 1,
-		States: 7, CWStates: 2, BMStates: 5, MatchersBuilt: 7, MaxBufferBytes: 100}
-	b := Stats{BytesRead: 20, BytesWritten: 2, CharComparisons: 6, InitialJumpBytes: 3,
-		Shifts: 4, ShiftTotal: 40, TagsMatched: 5, RejectedMatches: 2,
-		States: 8, CWStates: 3, BMStates: 5, MatchersBuilt: 8, MaxBufferBytes: 60}
+	a := Stats{BytesRead: 10, BytesWritten: 1, CharComparisons: 5, BytesScanned: 9,
+		TagsMatched: 4, RejectedMatches: 1, States: 7, MaxBufferBytes: 100,
+		IndexHits: 1, IndexSkips: 0, IndexSummarySkips: 1,
+		ScanDuration: 3, ReplayDuration: 4, StitchDuration: 5}
+	b := Stats{BytesRead: 20, BytesWritten: 2, CharComparisons: 6, BytesScanned: 18,
+		TagsMatched: 5, RejectedMatches: 2, States: 8, MaxBufferBytes: 60, ZeroCopyInput: true,
+		IndexHits: 0, IndexSkips: 1, IndexSummarySkips: 0,
+		ScanDuration: 30, ReplayDuration: 40, StitchDuration: 50}
 	a.Add(b)
-	want := Stats{BytesRead: 30, BytesWritten: 3, CharComparisons: 11, InitialJumpBytes: 5,
-		Shifts: 7, ShiftTotal: 70, TagsMatched: 9, RejectedMatches: 3,
-		States: 15, CWStates: 5, BMStates: 10, MatchersBuilt: 15, MaxBufferBytes: 100}
+	want := Stats{BytesRead: 30, BytesWritten: 3, CharComparisons: 11, BytesScanned: 27,
+		TagsMatched: 9, RejectedMatches: 3, States: 15, MaxBufferBytes: 100, ZeroCopyInput: true,
+		IndexHits: 1, IndexSkips: 1, IndexSummarySkips: 1,
+		ScanDuration: 33, ReplayDuration: 44, StitchDuration: 55}
 	if a != want {
 		t.Errorf("Add result = %+v, want %+v", a, want)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // concurrencyFixture compiles one prefilter and a set of distinct documents
-// with their projections by the serial core engine (the oracle).
+// with their projections by the serial Fig. 4 engine (the oracle).
 func concurrencyFixture(t *testing.T) (*Prefilter, [][]byte, [][]byte) {
 	t.Helper()
 	dtdSource, err := DatasetDTD(XMark)
@@ -119,7 +119,7 @@ func TestPrefilterSequentialReuseStatsReset(t *testing.T) {
 
 // TestProjectWorkersMatchesSerial checks the public intra-document
 // parallel surface: for every worker count, Project with WithWorkers must
-// be byte-identical to the serial core engine and write as many bytes as
+// be byte-identical to the serial Fig. 4 engine and write as many bytes as
 // the serial Project.
 func TestProjectWorkersMatchesSerial(t *testing.T) {
 	dtdSource, err := DatasetDTD(XMark)

@@ -9,9 +9,9 @@
 // the complete input: a static analysis compiles the DTD and the paths into
 // a small runtime automaton whose states name the few tags worth searching
 // for, and a keyword search over the document finds only those, skipping
-// most of the input's characters. (internal/core keeps the paper's
+// most of the input's characters. (internal/fig4 keeps the paper's
 // Boyer-Moore / Commentz-Walter engine as the reproduction and the
-// byte-identity reference.)
+// byte-identity reference; this package does not link it.)
 //
 // Basic usage:
 //
@@ -58,9 +58,9 @@ import (
 	"smp/internal/xmlgen"
 )
 
-// Stats are the runtime counters of one prefiltering run: bytes read and
-// written, characters inspected, average shift sizes, initial-jump savings
-// and automaton sizes. See the fields of the aliased type for details.
+// Stats are the runtime counters of one prefiltering run: bytes, characters
+// inspected, tags, memory, index use and stage durations. See the fields of
+// the aliased type for details.
 type Stats = core.Stats
 
 // CompileStats summarize the static analysis ("States (CW + BM)" in the
@@ -81,9 +81,6 @@ type Options struct {
 	// ChunkSize is the streaming window read granularity in bytes; 0 selects
 	// the default (32 KiB, eight times a common page size, as in the paper).
 	ChunkSize int
-	// DisableInitialJumps zeroes the initial-jump table J (used by the
-	// ablation benchmarks).
-	DisableInitialJumps bool
 }
 
 // Prefilter is a compiled XML prefilter: an immutable execution plan (the
@@ -130,7 +127,7 @@ func compileSet(dtdSource string, set *paths.Set, opts Options) (*Prefilter, err
 	if err != nil {
 		return nil, err
 	}
-	table, err := compile.Compile(schema, set, compile.Options{DisableInitialJumps: opts.DisableInitialJumps})
+	table, err := compile.Compile(schema, set, compile.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -225,9 +222,8 @@ func WithStatsInto(st *Stats) ProjectOption {
 //
 // Stats.CharComparisons counts the characters the keyword scan's
 // verification and tag-end scans compare, and Stats.BytesScanned the bytes
-// it covered; Shifts, ShiftTotal, InitialJumpBytes and MatchersBuilt stay
-// zero. The paper's per-algorithm Boyer-Moore and Commentz-Walter figures
-// come from smpbench -experiment.
+// it covered. The paper's per-algorithm figures (shifts, initial jumps) come
+// from its Fig. 4 engine, which smpbench -experiment runs.
 //
 // The context is honoured at every segment boundary in every layer — the
 // serial source, the parallel segment reader, the replay and the workers —

@@ -41,7 +41,7 @@ func projectBytes(t *testing.T, pf *Prefilter, doc []byte, opts ...ProjectOption
 }
 
 // oracleProject runs the prefilter's plan through the paper's serial Fig. 4
-// engine (internal/core) — the byte-identity reference for Project, which
+// engine (internal/fig4) — the byte-identity reference for Project, which
 // runs the staged pipeline.
 func oracleProject(t *testing.T, pf *Prefilter, doc []byte) []byte {
 	t.Helper()
@@ -287,7 +287,7 @@ func TestEndToEndGeneratedWorkload(t *testing.T) {
 // TestProjectMatchesOracleAllQueries runs every bundled benchmark query
 // through Project with no options, over a regular file (the mmapped
 // in-memory path) and over a bytes.Reader (the streaming path), and
-// compares both against the serial core engine.
+// compares both against the serial Fig. 4 engine.
 func TestProjectMatchesOracleAllQueries(t *testing.T) {
 	dir := t.TempDir()
 	for _, d := range []Dataset{XMark, Medline} {
