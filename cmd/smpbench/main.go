@@ -938,7 +938,8 @@ func runScanKernel(ctx context.Context, cfg experiments.Config, blog *benchLog) 
 	blog.note += "scan kernel " + active
 
 	// Differential gate before timing: the dispatching kernel must emit
-	// exactly the scalar reference kernel's candidate stream.
+	// exactly the scalar reference kernel's candidate stream. A Candidate
+	// holds no pointer, so == compares every field, error kind included.
 	var activeCands, scalarCands []core.Candidate
 	activeCands = sp.NewScanner().Scan(activeCands, doc, 0, len(doc), true)
 	scalarCands = sp.NewScanner().ScanScalar(scalarCands, doc, 0, len(doc), true)

@@ -157,14 +157,14 @@ func replayBound(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, ix
 	var res pipeline.Result
 	var err error
 	if !ix.SummaryMayMatch(eng.ScanPlan()) {
-		res, err = eng.Replay(ctx, dsts, nil, nil, nil, popts)
+		res, err = eng.Replay(ctx, dsts, nil, nil, nil, nil, popts)
 		res.Scan.BytesRead = ix.DocLen()
 		for i := range res.Query {
 			res.Query[i].BytesRead = ix.DocLen()
 		}
 		res.Scan.IndexSummarySkips = 1
 	} else {
-		res, err = eng.Replay(ctx, dsts, ix.Doc(), ix.Keywords(), ix.Candidates(), popts)
+		res, err = eng.Replay(ctx, dsts, ix.Doc(), ix.Keywords(), ix.Tokens(), ix.Candidates(), popts)
 	}
 	res.Scan.IndexHits = 1
 	return res, err

@@ -38,34 +38,66 @@ import (
 // unique keyword that is valid at Pos, together with the resolved end of its
 // tag. Candidates are reported in strictly increasing Pos order and never
 // overlap.
+//
+// A Candidate holds no pointer, so a candidate list is a flat array the
+// garbage collector never scans. The tag token the keyword stands for is
+// Tokens()[Kw] of the vocabulary that produced the stream, and the error a
+// selection would report is rebuilt from ErrKind and Pos (Err).
 type Candidate struct {
 	// Pos is the absolute input offset of the '<' starting the keyword.
 	Pos int64
-	// KwLen is the keyword length in bytes.
-	KwLen int
-	// Token is the tag token the keyword stands for.
-	Token glushkov.Token
 	// TagEnd is the absolute offset of the tag's closing '>' (valid only
-	// when Complete is true and Err is nil).
+	// when Complete is true and ErrKind is NoTagErr).
 	TagEnd int64
+	// KwLen is the keyword length in bytes.
+	KwLen int32
+	// Kw is the keyword's index in the canonical keyword list of the
+	// vocabulary that produced the stream: ScanPlan.Keywords() for a scan,
+	// the stored keyword list for a persisted index. Replays look the
+	// candidate up by this id, and find its token at the same index of the
+	// vocabulary's token table.
+	Kw int32
+	// Close reports a closing keyword ("</x…").
+	Close bool
 	// Bachelor reports a "/>" tag end (always false for closing tokens,
 	// mirroring the serial engine).
 	Bachelor bool
 	// Complete reports that the tag-end scan finished within the scanned
 	// data — either successfully (TagEnd/Bachelor are valid) or definitely
-	// (Err is set). When false, the tag straddles the segment's data end
-	// and the stitcher must resume the scan in the following segment.
+	// (ErrKind is set). When false, the tag straddles the segment's data
+	// end and the stitcher must resume the scan in the following segment.
 	Complete bool
-	// Kw is the keyword's index in the canonical keyword list of the
-	// vocabulary that produced the stream: ScanPlan.Keywords() for a scan,
-	// the stored keyword list for a persisted index. Replays look the
-	// candidate up by this id instead of comparing Token. It sits beside the
-	// bools so the struct stays 72 bytes.
-	Kw int32
-	// Err is the error the serial engine would report if it selected this
-	// candidate (tag longer than MaxTagLength, or end of input inside the
-	// tag). It must only be surfaced if the candidate is actually selected.
-	Err error
+	// ErrKind names the error the serial engine would report if it selected
+	// this candidate (tag longer than MaxTagLength, or end of input inside
+	// the tag). It must only be surfaced if the candidate is actually
+	// selected.
+	ErrKind TagErrKind
+}
+
+// TagErrKind names the error, if any, that a candidate's tag-end scan ran
+// into. Both errors are determined by the tag's start offset, so the kind
+// and the candidate's Pos rebuild them exactly (Candidate.Err).
+type TagErrKind uint8
+
+const (
+	// NoTagErr: the tag end was found, or the scan is not Complete.
+	NoTagErr TagErrKind = iota
+	// TagErrTooLong: no '>' within MaxTagLength bytes (TagTooLongError).
+	TagErrTooLong
+	// TagErrEOF: the input ended inside the tag (EOFInsideTagError).
+	TagErrEOF
+)
+
+// Err returns the error the serial engine would report if it selected c,
+// or nil when c's tag end was found (or is still to be resolved).
+func (c *Candidate) Err() error {
+	switch c.ErrKind {
+	case TagErrTooLong:
+		return TagTooLongError(c.Pos)
+	case TagErrEOF:
+		return EOFInsideTagError(c.Pos)
+	}
+	return nil
 }
 
 // ScanPlan is the immutable scan-side companion of one or more Plans: the
@@ -96,15 +128,19 @@ type ScanPlan struct {
 	// fingerprint of that list. Together they identify the vocabulary a
 	// persisted candidate index was built for (internal/index).
 	keywords []string
-	fp       uint64
-	count    int
-	maxKw    int
-	memSize  int64
+	// tokens[i] is the tag token keywords[i] stands for (Candidate.Kw
+	// indexes both).
+	tokens  []glushkov.Token
+	fp      uint64
+	count   int
+	maxKw   int
+	memSize int64
 }
 
 type scanKeyword struct {
 	pattern []byte
-	token   glushkov.Token
+	// close reports a closing keyword ("</x…").
+	close bool
 	// id is the keyword's index in ScanPlan.keywords (Candidate.Kw).
 	id int32
 	// word and mask hold the first min(len(pattern), 8) pattern bytes as a
@@ -150,17 +186,14 @@ func newScanPlan(p *Plan, tokens map[string]glushkov.Token) *ScanPlan {
 	}
 	// Longest first (ties: lexicographic), so each bucket resolves prefix
 	// collisions the same way the serial engine's verifyAt does.
-	sort.Slice(order, func(a, b int) bool {
-		if len(order[a]) != len(order[b]) {
-			return len(order[a]) > len(order[b])
-		}
-		return order[a] < order[b]
-	})
-	sp := &ScanPlan{plan: p, count: len(order), keywords: order}
+	sort.Slice(order, func(a, b int) bool { return KeywordBefore(order[a], order[b]) })
+	sp := &ScanPlan{plan: p, count: len(order), keywords: order, tokens: make([]glushkov.Token, len(order))}
 	sp.fp = FingerprintKeywords(order)
 	sp.memSize = 2 * 256 * 24 // the two bucket arrays (slice headers)
 	for i, kw := range order {
-		sk := scanKeyword{pattern: []byte(kw), token: tokens[kw], id: int32(i)}
+		tok := tokens[kw]
+		sp.tokens[i] = tok
+		sk := scanKeyword{pattern: []byte(kw), close: tok.Close, id: int32(i)}
 		for b := 0; b < len(sk.pattern) && b < 8; b++ {
 			sk.word |= uint64(sk.pattern[b]) << (8 * b)
 			sk.mask |= 0xFF << (8 * b)
@@ -168,8 +201,8 @@ func newScanPlan(p *Plan, tokens map[string]glushkov.Token) *ScanPlan {
 		if len(kw) > sp.maxKw {
 			sp.maxKw = len(kw)
 		}
-		sp.memSize += int64(len(kw)+len(sk.token.Name)) + 48
-		if sk.token.Close {
+		sp.memSize += int64(len(kw)+len(tok.Name)) + 48
+		if sk.close {
 			// "</x…": bucket by the byte after the slash.
 			c := sk.pattern[2]
 			sp.closing[c] = append(sp.closing[c], sk)
@@ -225,12 +258,26 @@ func (sp *ScanPlan) MemSize() int64 { return sp.memSize }
 // the plan — callers must not mutate it.
 func (sp *ScanPlan) Keywords() []string { return sp.keywords }
 
+// Tokens returns the tag token of each keyword, in Keywords() order: the
+// token of a candidate from this plan's scan is Tokens()[Kw]. The slice is
+// shared read-only state of the plan — callers must not mutate it.
+func (sp *ScanPlan) Tokens() []glushkov.Token { return sp.tokens }
+
 // Fingerprint returns the FNV-1a hash of the canonical keyword list: the
 // identity of the scanned vocabulary. Two ScanPlans with equal fingerprints
 // search for exactly the same keyword set, so a candidate stream recorded
 // under one replays under the other (internal/index keys its sidecars by
 // this value).
 func (sp *ScanPlan) Fingerprint() uint64 { return sp.fp }
+
+// KeywordBefore reports whether keyword a precedes b in the canonical
+// vocabulary order of Keywords(): longest first, ties lexicographic.
+func KeywordBefore(a, b string) bool {
+	if len(a) != len(b) {
+		return len(a) > len(b)
+	}
+	return a < b
+}
 
 // FingerprintKeywords hashes a keyword list with FNV-1a, separating entries
 // with a NUL byte (keywords are tag prefixes and never contain NUL).
@@ -398,13 +445,13 @@ func (s *SegmentScanner) verifyScalar(data []byte, base int64, pos int, final bo
 		if !bytes.Equal(data[pos+1:end], kw.pattern[1:]) {
 			continue
 		}
-		if !IsTagTerminator(data[end], kw.token.Close) {
+		if !IsTagTerminator(data[end], kw.close) {
 			s.rejected++
 			continue
 		}
-		c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token, Kw: kw.id}
+		c := Candidate{Pos: base + int64(pos), KwLen: int32(len(kw.pattern)), Kw: kw.id, Close: kw.close}
 		s.scanTagEnd(data, base, pos, end, final, &c)
-		if c.Token.Close {
+		if c.Close {
 			c.Bachelor = false
 		}
 		return c, true
@@ -431,7 +478,7 @@ func (s *SegmentScanner) scanTagEnd(data []byte, base int64, tagStart, from int,
 		if i+1-tagStart > MaxTagLength {
 			s.inspected += int64(i - from + 1)
 			c.Complete = true
-			c.Err = TagTooLongError(base + int64(tagStart))
+			c.ErrKind = TagErrTooLong
 			return
 		}
 	}
@@ -440,7 +487,7 @@ func (s *SegmentScanner) scanTagEnd(data []byte, base int64, tagStart, from int,
 	}
 	if final {
 		c.Complete = true
-		c.Err = EOFInsideTagError(base + int64(tagStart))
+		c.ErrKind = TagErrEOF
 	}
 }
 

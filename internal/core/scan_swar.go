@@ -192,7 +192,7 @@ func (s *SegmentScanner) acceptKeyword(dst []Candidate, kw *scanKeyword, data []
 	if len(kw.pattern) > 8 && !bytes.Equal(data[pos+8:end], kw.pattern[8:]) {
 		return dst, false
 	}
-	if kw.token.Close {
+	if kw.close {
 		if !closeTerm[data[end]] {
 			s.rejected++
 			return dst, false
@@ -201,13 +201,13 @@ func (s *SegmentScanner) acceptKeyword(dst []Candidate, kw *scanKeyword, data []
 		s.rejected++
 		return dst, false
 	}
-	// The candidate is built in place: a 72-byte Candidate assembled on the
-	// stack and copied into dst costs more than the rest of the probe.
+	// The candidate is built in place, in dst, where scanTagEnd fills in
+	// its tag end.
 	dst = append(dst, Candidate{})
 	c := &dst[len(dst)-1]
-	c.Pos, c.KwLen, c.Token, c.Kw = base+int64(pos), len(kw.pattern), kw.token, kw.id
+	c.Pos, c.KwLen, c.Kw, c.Close = base+int64(pos), int32(len(kw.pattern)), kw.id, kw.close
 	s.scanTagEnd(data, base, pos, end, final, c)
-	if c.Token.Close {
+	if c.Close {
 		c.Bachelor = false
 	}
 	return dst, true

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -76,10 +76,14 @@ func diffKernels(t testing.TB, sp *ScanPlan, data []byte, base int64, owned int,
 	want := scalar.scanScalar(nil, data, base, owned, final)
 	wi, wr, _ := scalar.Counters()
 	for i, c := range want {
-		// Kw must index the producing plan's canonical keyword list at the
-		// candidate's own keyword.
-		if kw := sp.Keywords()[c.Kw]; kw != c.Token.Keyword() {
-			t.Fatalf("candidate %d at %d: Keywords()[Kw=%d] = %q, want %q", i, c.Pos, c.Kw, kw, c.Token.Keyword())
+		// Kw must index the producing plan's canonical keyword list and its
+		// token table at the candidate's own keyword.
+		kw := string(data[c.Pos-base : c.Pos-base+int64(c.KwLen)])
+		if got := sp.Keywords()[c.Kw]; got != kw {
+			t.Fatalf("candidate %d at %d: Keywords()[Kw=%d] = %q, want %q", i, c.Pos, c.Kw, got, kw)
+		}
+		if tok := sp.Tokens()[c.Kw]; tok.Keyword() != kw || tok.Close != c.Close {
+			t.Fatalf("candidate %d at %d: Tokens()[Kw=%d] = %v, want the token of %q (Close %v)", i, c.Pos, c.Kw, tok, kw, c.Close)
 		}
 	}
 	for _, k := range fastKernels {
@@ -90,13 +94,9 @@ func diffKernels(t testing.TB, sp *ScanPlan, data []byte, base int64, owned int,
 				owned, final, k.name, len(got), len(want), clip(data), k.name, clip(got), clip(want))
 		}
 		for i := range got {
-			g, w := got[i], want[i]
-			// Errors are compared by message: the constructors build fresh values.
-			if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token || g.Kw != w.Kw ||
-				g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || g.Complete != w.Complete ||
-				fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+			if got[i] != want[i] {
 				t.Fatalf("owned=%d final=%v: candidate %d differs\n%s: %+v\nscalar: %+v\ninput: %q",
-					owned, final, i, k.name, g, w, clip(data))
+					owned, final, i, k.name, got[i], want[i], clip(data))
 			}
 		}
 		gi, gr, _ := fast.Counters()
@@ -166,15 +166,68 @@ func TestScanSWAREquivalence(t *testing.T) {
 	}
 }
 
-// TestCandidateSize pins the candidate layout on 64-bit platforms: Kw packs
-// beside the two bools, so adding it did not grow the struct that every
-// segment's candidate list holds by the thousand.
+// TestCandidateSize pins the candidate layout: every segment's candidate
+// list and every decoded sidecar holds candidates by the thousand, so the
+// struct is pinned at 32 bytes on 64-bit platforms, and no field may hold a
+// pointer — a pointer-free element type keeps candidate lists out of the
+// garbage collector's scan.
 func TestCandidateSize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout pinned for 64-bit platforms")
+	typ := reflect.TypeOf(Candidate{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holdsPointer(f.Type) {
+			t.Errorf("Candidate.%s (%s) holds a pointer", f.Name, f.Type)
+		}
 	}
-	if got := unsafe.Sizeof(Candidate{}); got != 72 {
-		t.Fatalf("unsafe.Sizeof(Candidate{}) = %d, want 72", got)
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Candidate{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Candidate{}) = %d, want 32", got)
+	}
+}
+
+// holdsPointer reports whether a value of type typ contains a pointer the
+// garbage collector must trace.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.String, reflect.Interface, reflect.Slice, reflect.Map,
+		reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Chan:
+		return true
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestHoldsPointer checks the layout walk itself on one type of each kind.
+func TestHoldsPointer(t *testing.T) {
+	type flat struct {
+		a int64
+		b [4]uint8
+		c bool
+	}
+	type nested struct {
+		f flat
+		p [2]*int
+	}
+	for _, c := range []struct {
+		v    any
+		want bool
+	}{
+		{flat{}, false}, {[0]string{}, false}, {nested{}, true}, {"", true},
+		{[]byte(nil), true}, {map[int]int(nil), true}, {(*int)(nil), true},
+		{(func())(nil), true}, {(chan int)(nil), true}, {[1]error{}, true},
+		{struct{ e error }{}, true}, {struct{ p unsafe.Pointer }{}, true},
+	} {
+		if got := holdsPointer(reflect.TypeOf(c.v)); got != c.want {
+			t.Errorf("holdsPointer(%T) = %v, want %v", c.v, got, c.want)
+		}
 	}
 }
 

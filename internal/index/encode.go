@@ -67,8 +67,8 @@ func (ix *Index) Encode() ([]byte, error) {
 			return nil, fmt.Errorf("index: incomplete candidate at offset %d (sidecars require a final scan)", c.Pos)
 		}
 		ki := int(c.Kw)
-		if ki < 0 || ki >= len(ix.tokens) || ix.tokens[ki] != c.Token {
-			return nil, fmt.Errorf("index: candidate token %v is not keyword %d of the vocabulary", c.Token, ki)
+		if ki < 0 || ki >= len(ix.tokens) || ix.tokens[ki].Close != c.Close || int(c.KwLen) != len(ix.keywords[ki]) {
+			return nil, fmt.Errorf("index: candidate at offset %d is not keyword %d of the vocabulary", c.Pos, ki)
 		}
 		kind, err := errKindOf(c)
 		if err != nil {
@@ -263,9 +263,9 @@ func Decode(data []byte) (*Index, error) {
 		tagEndDelta := int64(ctrl >> 3)
 		c := core.Candidate{
 			Pos:      pos,
-			KwLen:    kwLen,
-			Token:    ix.tokens[ki],
+			KwLen:    int32(kwLen),
 			Kw:       int32(ki),
+			Close:    ix.tokens[ki].Close,
 			Complete: true,
 		}
 		switch kind {
@@ -279,11 +279,11 @@ func Decode(data []byte) (*Index, error) {
 			if tagEndDelta != 0 || bachelor {
 				return nil, corruptf("candidate %d: error kind %d with tag-end bits", i, kind)
 			}
-			c.Err = errOfKind(kind, pos)
+			c.ErrKind = kindOf[kind]
 		default:
 			return nil, corruptf("candidate %d: error kind %d", i, kind)
 		}
-		if c.Bachelor && ix.tokens[ki].Close {
+		if c.Bachelor && c.Close {
 			return nil, corruptf("candidate %d: bachelor closing tag", i)
 		}
 		ix.cands[i] = c

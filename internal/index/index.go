@@ -108,6 +108,12 @@ func (ix *Index) Fingerprint() uint64 { return ix.fp }
 // not mutate the returned slice.
 func (ix *Index) Keywords() []string { return ix.keywords }
 
+// Tokens returns the token table of the index's vocabulary: Tokens()[i] is
+// the tag token Keywords()[i] stands for, so a stored candidate's token is
+// Tokens()[c.Kw]. It is derived once, when the index is built or decoded.
+// Callers must not mutate the returned slice.
+func (ix *Index) Tokens() []glushkov.Token { return ix.tokens }
+
 // Candidates returns the stored candidate stream. Callers must not mutate
 // the returned slice.
 func (ix *Index) Candidates() []core.Candidate { return ix.cands }
@@ -118,20 +124,23 @@ func (ix *Index) Summary() *Summary { return &ix.summary }
 // Covers reports whether the index's vocabulary subsumes sp's, i.e. whether
 // the stored stream is a sound and complete oracle for every automaton
 // behind sp. Equal fingerprints are the fast path (same canonical keyword
-// list); otherwise each query keyword is looked up individually, so an index
-// built for a union vocabulary serves any subset query.
+// list); otherwise both lists, each in canonical order, are merged, so an
+// index built for a union vocabulary serves any subset query. The check
+// allocates nothing. A stored list out of canonical order can only make it
+// report false, and the caller then scans.
 func (ix *Index) Covers(sp *core.ScanPlan) bool {
 	if sp.Fingerprint() == ix.fp {
 		return true
 	}
-	have := make(map[string]bool, len(ix.keywords))
-	for _, kw := range ix.keywords {
-		have[kw] = true
-	}
+	have := ix.keywords
 	for _, kw := range sp.Keywords() {
-		if !have[kw] {
+		for len(have) > 0 && core.KeywordBefore(have[0], kw) {
+			have = have[1:]
+		}
+		if len(have) == 0 || have[0] != kw {
 			return false
 		}
+		have = have[1:]
 	}
 	return true
 }
@@ -139,9 +148,9 @@ func (ix *Index) Covers(sp *core.ScanPlan) bool {
 // SummaryMayMatch reports whether any of sp's keywords may occur in the
 // document. False is definitive: no query keyword verifies anywhere, so the
 // automaton consumes zero tokens and the projection equals a replay over an
-// empty candidate stream.
+// empty candidate stream. The check allocates nothing.
 func (ix *Index) SummaryMayMatch(sp *core.ScanPlan) bool {
-	for _, tok := range tokensFor(sp.Keywords()) {
+	for _, tok := range sp.Tokens() {
 		if ix.summary.MayContain(tok.Name) {
 			return true
 		}
@@ -149,36 +158,28 @@ func (ix *Index) SummaryMayMatch(sp *core.ScanPlan) bool {
 	return false
 }
 
-// errKind classifies a candidate's Err for encoding. The two producible
-// errors are position-determined (both constructors take the tag's start
-// offset, which is the candidate's Pos), so a kind byte round-trips them
-// exactly.
+// The wire values of a candidate's error kind. The two producible errors
+// are position-determined (both constructors take the tag's start offset,
+// which is the candidate's Pos), so a kind byte round-trips them exactly.
 const (
 	errNone       = 0
 	errTagTooLong = 1
 	errEOFInside  = 2
 )
 
-func errKindOf(c core.Candidate) (int, error) {
-	if c.Err == nil {
-		return errNone, nil
-	}
-	msg := c.Err.Error()
-	if msg == core.TagTooLongError(c.Pos).Error() {
-		return errTagTooLong, nil
-	}
-	if msg == core.EOFInsideTagError(c.Pos).Error() {
-		return errEOFInside, nil
-	}
-	return 0, fmt.Errorf("index: unencodable candidate error at offset %d: %v", c.Pos, c.Err)
+// kindOf maps each wire value to the candidate's error kind.
+var kindOf = [...]core.TagErrKind{
+	errNone:       core.NoTagErr,
+	errTagTooLong: core.TagErrTooLong,
+	errEOFInside:  core.TagErrEOF,
 }
 
-func errOfKind(kind int, pos int64) error {
-	switch kind {
-	case errTagTooLong:
-		return core.TagTooLongError(pos)
-	case errEOFInside:
-		return core.EOFInsideTagError(pos)
+// errKindOf returns the wire value of c's error kind.
+func errKindOf(c core.Candidate) (int, error) {
+	for wire, kind := range kindOf {
+		if c.ErrKind == kind {
+			return wire, nil
+		}
 	}
-	return nil
+	return 0, fmt.Errorf("index: unencodable error kind %d of the candidate at offset %d", c.ErrKind, c.Pos)
 }

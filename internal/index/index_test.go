@@ -2,10 +2,13 @@ package index_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smp/internal/core"
@@ -49,12 +52,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("candidates: got %d, want %d", len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
-		sameErr := (g.Err == nil) == (w.Err == nil) &&
-			(g.Err == nil || g.Err.Error() == w.Err.Error())
-		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token || g.Kw != w.Kw ||
-			g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || !g.Complete || !sameErr {
-			t.Fatalf("candidate %d: got %+v, want %+v", i, g, w)
+		if got[i] != want[i] || !got[i].Complete {
+			t.Fatalf("candidate %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	if err := dec.Bind(doc); err != nil {
@@ -118,6 +117,109 @@ func TestCoversSubsetAndDisjoint(t *testing.T) {
 	otherSP := core.NewScanPlanUnion(testutil.MakePlans(t, testutil.Fig1DTD, []string{"/*, //asia//shipping#"}, core.Options{}))
 	if ix.Covers(otherSP) {
 		t.Fatal("index claims to cover a vocabulary it was not built for")
+	}
+}
+
+// TestCoversMatchesSetInclusion holds Covers, which merges two keyword
+// lists in canonical order, to plain set inclusion over every pair of
+// non-empty subsets of four queries with overlapping and disjoint
+// vocabularies.
+func TestCoversMatchesSetInclusion(t *testing.T) {
+	specs := []string{"/*, //australia//description#", "/*, //item/name#", "/*, //asia//item#", "/*, //item/payment#"}
+	doc := testutil.BuildFig1Doc(2 << 10)
+	var sps []*core.ScanPlan
+	for mask := 1; mask < 1<<len(specs); mask++ {
+		var sub []string
+		for i, spec := range specs {
+			if mask&(1<<i) != 0 {
+				sub = append(sub, spec)
+			}
+		}
+		sps = append(sps, core.NewScanPlanUnion(testutil.MakePlans(t, testutil.Fig1DTD, sub, core.Options{})))
+	}
+	for _, built := range sps {
+		ix := index.Build(doc, built)
+		have := make(map[string]bool)
+		for _, kw := range ix.Keywords() {
+			have[kw] = true
+		}
+		for _, sp := range sps {
+			want := true
+			for _, kw := range sp.Keywords() {
+				want = want && have[kw]
+			}
+			if got := ix.Covers(sp); got != want {
+				t.Fatalf("index over %v: Covers(%v) = %v, want %v", ix.Keywords(), sp.Keywords(), got, want)
+			}
+		}
+	}
+}
+
+// TestCoverChecksAllocateNothing pins the per-job checks of a batch whose
+// union sidecar serves one query: Covers against a subset plan (the merge
+// path, not the fingerprint fast path) and SummaryMayMatch, matching and
+// not, allocate nothing.
+func TestCoverChecksAllocateNothing(t *testing.T) {
+	doc := testutil.BuildFig1Doc(4 << 10)
+	unionSpecs := []string{"/*, //australia//description#", "/*, //item/name#", "/*, //item/payment#"}
+	built, _ := buildFig1Index(t, unionSpecs, doc)
+	enc, err := built.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	ix, err := index.Decode(enc)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	subset := core.NewScanPlanUnion(testutil.MakePlans(t, testutil.Fig1DTD, unionSpecs[1:2], core.Options{}))
+	foreign := core.NewScanPlanUnion(testutil.MakePlans(t, testutil.PrefixDTD, []string{"/*, //AbstractText#"}, core.Options{}))
+	if subset.Fingerprint() == ix.Fingerprint() || !ix.Covers(subset) || !ix.SummaryMayMatch(subset) {
+		t.Fatal("the union index must cover and may match the subset plan through the merge path")
+	}
+	if ix.Covers(foreign) {
+		t.Fatal("the union index covers a foreign vocabulary")
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Covers(subset)", func() { ix.Covers(subset) }},
+		{"Covers(foreign)", func() { ix.Covers(foreign) }},
+		{"SummaryMayMatch(subset)", func() { ix.SummaryMayMatch(subset) }},
+		{"SummaryMayMatch(foreign)", func() { ix.SummaryMayMatch(foreign) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", c.name, n)
+		}
+	}
+}
+
+// TestEncodeGolden pins the sidecar bytes: the SHA-256 of Encode for a
+// fixed generated XMark document and the 18-query union vocabulary. The
+// document ends in a tag longer than core.MaxTagLength and a tag cut off by
+// the end of input, so both error kinds are in the stream. The digest was
+// computed before the candidate lost its token and error fields, and must
+// not move unless the wire format changes on purpose (with a version bump).
+func TestEncodeGolden(t *testing.T) {
+	wl := testutil.XMarkWorkload(64 << 10)
+	doc := append([]byte(nil), wl.Doc...)
+	doc = append(doc, `<item id="`+strings.Repeat("x", core.MaxTagLength)+`">`...)
+	doc = append(doc, `<description lang="en`...)
+	ix := index.Build(doc, core.NewScanPlanUnion(testutil.MakePlans(t, wl.DTD, wl.Specs, core.Options{})))
+	kinds := make(map[core.TagErrKind]int)
+	for _, c := range ix.Candidates() {
+		kinds[c.ErrKind]++
+	}
+	if len(ix.Candidates()) != 1414 || kinds[core.TagErrTooLong] != 1 || kinds[core.TagErrEOF] != 1 {
+		t.Fatalf("%d candidates, error kinds %v; want 1414 with one of each error kind", len(ix.Candidates()), kinds)
+	}
+	enc, err := ix.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	const want = "e93eef8010d2cb023ad282ed13d1f540f96909e3a60e68351e9fdcce6a1c8195"
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != want || len(enc) != 5491 {
+		t.Fatalf("Encode: %d bytes, SHA-256 %s; want 5491 bytes, %s", len(enc), got, want)
 	}
 }
 

@@ -80,6 +80,10 @@ type driver struct {
 	segs     []*mseg // live chain; segs[0] has sequence number firstSeq
 	firstSeq int
 	queries  []*qrun
+	// tokens is the token table of the stream's vocabulary: a candidate's
+	// token is tokens[c.Kw]. Only the error path and a bachelor tag's
+	// implied close read it.
+	tokens []glushkov.Token
 
 	held    int // bytes across live segments (the run's memory)
 	maxHeld int
@@ -99,7 +103,7 @@ type driver struct {
 }
 
 func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *driver {
-	d := &driver{src: src, trace: trace}
+	d := &driver{src: src, tokens: e.scan.Tokens(), trace: trace}
 	if trace != nil {
 		trace.NameThread(traceTIDScan, "scan")
 		trace.NameThread(traceTIDReplay, "replay")
@@ -231,10 +235,10 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate, next int32) {
 		return
 	}
 	if next == noTransition {
-		k.err = core.TransitionError(k.q, c.Token)
+		k.err = core.TransitionError(k.q, d.tokens[c.Kw])
 		return
 	}
-	if c.Token.Close {
+	if c.Close {
 		d.performClose(k, k.table.State(int(next)), tagEnd, false)
 		k.q = int(next)
 	} else {
@@ -243,7 +247,7 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate, next int32) {
 		if bachelor {
 			// The implied close keeps the map lookup: it runs once per
 			// bachelor match, not once per candidate.
-			closeTok := glushkov.Closing(c.Token.Name)
+			closeTok := glushkov.Closing(d.tokens[c.Kw].Name)
 			nextClose := k.table.Successor(k.q, closeTok)
 			if nextClose < 0 {
 				k.err = core.TransitionError(k.q, closeTok)
@@ -269,7 +273,7 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate, next int32) {
 // end of input inside a tag is the EOF-inside-tag error.
 func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) {
 	if c.Complete {
-		return c.TagEnd, c.Bachelor, c.Err
+		return c.TagEnd, c.Bachelor, c.Err()
 	}
 	var ts core.TagScan
 	i := c.Pos + int64(c.KwLen)
@@ -286,7 +290,7 @@ func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) 
 			k.stats.CharComparisons++
 			done, bachelor := ts.Feed(data[rel])
 			if done {
-				if c.Token.Close {
+				if c.Close {
 					bachelor = false
 				}
 				return seg.base + int64(rel), bachelor, nil

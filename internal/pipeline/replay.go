@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"smp/internal/core"
+	"smp/internal/glushkov"
 )
 
 // replaySource feeds a persisted candidate stream (internal/index) into the
@@ -81,17 +82,20 @@ func (s *replaySource) close(st *core.Stats) {
 //
 // cands must be strictly increasing in Pos with every candidate Complete,
 // and each candidate's Kw must index keywords, the canonical keyword list
-// of the vocabulary the stream was recorded for — the shape
+// of the vocabulary the stream was recorded for, and tokens, that list's
+// token table (tokens[i] is the token keywords[i] stands for) — the shape
 // internal/index.Build records and Decode validates. The ids are remapped
 // to the engine's once per replay (no remap when the keyword list's
-// fingerprint matches the engine's scan vocabulary). The replay is
-// sequential (opts.Workers is ignored: the scan was the parallel part, and
-// it already happened); opts.ChunkSize sets the segment granularity, which
-// only affects retirement batching, not output. doc may be nil when cands is
-// empty — the replay then behaves like an empty document, which is how
-// summary-proven "no keyword occurs" documents are skipped without touching
-// their bytes (the caller patches Stats.BytesRead afterwards).
-func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, keywords []string, cands []core.Candidate, opts Options) (Result, error) {
+// fingerprint matches the engine's scan vocabulary); tokens is only read,
+// so the caller derives it once per stream, not once per replay. The
+// replay is sequential (opts.Workers is ignored: the scan was the parallel
+// part, and it already happened); opts.ChunkSize sets the segment
+// granularity, which only affects retirement batching, not output. doc may
+// be nil when cands is empty — the replay then behaves like an empty
+// document, which is how summary-proven "no keyword occurs" documents are
+// skipped without touching their bytes (the caller patches Stats.BytesRead
+// afterwards).
+func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, keywords []string, tokens []glushkov.Token, cands []core.Candidate, opts Options) (Result, error) {
 	dsts, chunk, err := e.resolve(dsts, opts)
 	if err != nil {
 		return Result{}, err
@@ -103,6 +107,7 @@ func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, keywo
 	src := &replaySource{ctx: ctx, doc: doc, cands: cands, segSize: segSize}
 	d := newDriver(e, dsts, src, opts.Trace)
 	if core.FingerprintKeywords(keywords) != e.scan.Fingerprint() {
+		d.tokens = tokens
 		for _, k := range d.queries {
 			k.local = k.steps.remap(keywords, e.kwID)
 		}

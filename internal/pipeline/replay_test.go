@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"smp/internal/core"
+	"smp/internal/glushkov"
 	"smp/internal/index"
 	"smp/internal/pipeline"
 	"smp/internal/testutil"
@@ -35,7 +36,7 @@ func TestReplayMatchesScan(t *testing.T) {
 		for i := range dsts {
 			dsts[i] = &bufs[i]
 		}
-		res, err := eng.Replay(context.Background(), dsts, ix.Doc(), ix.Keywords(), ix.Candidates(), pipeline.Options{ChunkSize: chunk})
+		res, err := eng.Replay(context.Background(), dsts, ix.Doc(), ix.Keywords(), ix.Tokens(), ix.Candidates(), pipeline.Options{ChunkSize: chunk})
 		if err != nil {
 			t.Fatalf("chunk %d: Replay: %v", chunk, err)
 		}
@@ -61,7 +62,7 @@ func TestReplayEmptyDocument(t *testing.T) {
 	// of an empty input: end of input in the initial state.
 	wantOut, wantErr := testutil.SerialProject(t, plans[0], nil)
 	var buf bytes.Buffer
-	_, err := eng.Replay(context.Background(), []io.Writer{&buf}, nil, nil, nil, pipeline.Options{})
+	_, err := eng.Replay(context.Background(), []io.Writer{&buf}, nil, nil, nil, nil, pipeline.Options{})
 	errs := testutil.PerQueryErrors(t, err, 1)
 	if (wantErr == nil) != (errs[0] == nil) || (wantErr != nil && wantErr.Error() != errs[0].Error()) {
 		t.Fatalf("empty replay err = %v, serial err = %v", errs[0], wantErr)
@@ -86,7 +87,7 @@ func TestReplayNoMatchingCandidatesEqualsScanDiagnosis(t *testing.T) {
 
 	run := func(d []byte, cands []core.Candidate) ([]byte, error) {
 		var buf bytes.Buffer
-		_, err := eng.Replay(context.Background(), []io.Writer{&buf}, d, ix.Keywords(), cands, pipeline.Options{})
+		_, err := eng.Replay(context.Background(), []io.Writer{&buf}, d, ix.Keywords(), ix.Tokens(), cands, pipeline.Options{})
 		return buf.Bytes(), err
 	}
 	outFull, errFull := run(doc, ix.Candidates())
@@ -107,7 +108,7 @@ func TestReplayCancelledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.Replay(ctx, []io.Writer{io.Discard}, ix.Doc(), ix.Keywords(), ix.Candidates(), pipeline.Options{})
+	_, err := eng.Replay(ctx, []io.Writer{io.Discard}, ix.Doc(), ix.Keywords(), ix.Tokens(), ix.Candidates(), pipeline.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Replay with cancelled ctx = %v, want context.Canceled", err)
 	}
@@ -115,8 +116,8 @@ func TestReplayCancelledContext(t *testing.T) {
 
 // TestCandidateKeywordIDs pins the id contract the replay's step tables
 // rely on: in a scanned, a Build and a Decode stream alike, every
-// candidate's Kw indexes the producing keyword list at that candidate's own
-// keyword.
+// candidate's Kw indexes the producing keyword list and its token table at
+// that candidate's own keyword.
 func TestCandidateKeywordIDs(t *testing.T) {
 	doc := testutil.BuildFig1Doc(64 << 10)
 	specs := []string{"/*, //australia//description#", "/*, //item/name#", "/*, //asia//item#"}
@@ -127,11 +128,12 @@ func TestCandidateKeywordIDs(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		keywords []string
+		tokens   []glushkov.Token
 		cands    []core.Candidate
 	}{
-		{"scanned", sp.Keywords(), sp.NewScanner().Scan(nil, doc, 0, len(doc), true)},
-		{"built", built.Keywords(), built.Candidates()},
-		{"decoded", decoded.Keywords(), decoded.Candidates()},
+		{"scanned", sp.Keywords(), sp.Tokens(), sp.NewScanner().Scan(nil, doc, 0, len(doc), true)},
+		{"built", built.Keywords(), built.Tokens(), built.Candidates()},
+		{"decoded", decoded.Keywords(), decoded.Tokens(), decoded.Candidates()},
 	} {
 		if len(c.cands) == 0 {
 			t.Fatalf("%s: no candidates", c.name)
@@ -140,8 +142,12 @@ func TestCandidateKeywordIDs(t *testing.T) {
 			if cand.Kw < 0 || int(cand.Kw) >= len(c.keywords) {
 				t.Fatalf("%s: candidate %d: Kw %d outside %d keywords", c.name, i, cand.Kw, len(c.keywords))
 			}
-			if kw := c.keywords[cand.Kw]; kw != cand.Token.Keyword() {
-				t.Fatalf("%s: candidate %d: keywords[%d] = %q, want %q", c.name, i, cand.Kw, kw, cand.Token.Keyword())
+			want := string(doc[cand.Pos : cand.Pos+int64(cand.KwLen)])
+			if kw := c.keywords[cand.Kw]; kw != want {
+				t.Fatalf("%s: candidate %d: keywords[%d] = %q, want %q", c.name, i, cand.Kw, kw, want)
+			}
+			if tok := c.tokens[cand.Kw]; tok.Keyword() != want || tok.Close != cand.Close {
+				t.Fatalf("%s: candidate %d: tokens[%d] = %v, want the token of %q (Close %v)", c.name, i, cand.Kw, tok, want, cand.Close)
 			}
 		}
 	}

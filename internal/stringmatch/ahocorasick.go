@@ -78,18 +78,6 @@ func NewAhoCorasick(patterns [][]byte) *AhoCorasick {
 // Patterns returns the keyword set.
 func (ac *AhoCorasick) Patterns() [][]byte { return ac.patterns }
 
-// MemSize returns the approximate footprint of the automaton.
-func (ac *AhoCorasick) MemSize() int64 {
-	size := patternsSize(ac.patterns) + int64(len(ac.fail))*intSize
-	for _, g := range ac.goto_ {
-		size += sliceHeaderSize + int64(len(g))*mapEntrySize
-	}
-	for _, outs := range ac.out {
-		size += sliceHeaderSize + int64(len(outs))*intSize
-	}
-	return size
-}
-
 // step advances the automaton from state on character c.
 func (ac *AhoCorasick) step(state int, c byte) int {
 	for {

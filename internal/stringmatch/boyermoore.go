@@ -71,11 +71,6 @@ func (b *BoyerMoore) buildGoodSuffix() {
 // Pattern returns the keyword this matcher searches for.
 func (b *BoyerMoore) Pattern() []byte { return b.pattern }
 
-// MemSize returns the approximate footprint of the precomputed tables.
-func (b *BoyerMoore) MemSize() int64 {
-	return int64(len(b.pattern)) + 256*intSize + int64(len(b.goodSuffix))*intSize
-}
-
 // Next returns the start of the leftmost occurrence at or after start, or -1.
 func (b *BoyerMoore) Next(text []byte, start int, c *Counters) int {
 	if start < 0 {

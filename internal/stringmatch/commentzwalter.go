@@ -78,11 +78,6 @@ func NewCommentzWalter(patterns [][]byte) *CommentzWalter {
 // Patterns returns the keyword set.
 func (cw *CommentzWalter) Patterns() [][]byte { return cw.patterns }
 
-// MemSize returns the approximate footprint of the trie and shift tables.
-func (cw *CommentzWalter) MemSize() int64 {
-	return patternsSize(cw.patterns) + 256*intSize + trieSize(cw.root)
-}
-
 // MinLength returns the length of the shortest keyword (the window size).
 func (cw *CommentzWalter) MinLength() int { return cw.wmin }
 
@@ -212,11 +207,6 @@ func NewSetHorspool(patterns [][]byte) *SetHorspool {
 // Patterns returns the keyword set.
 func (sh *SetHorspool) Patterns() [][]byte { return sh.patterns }
 
-// MemSize returns the approximate footprint of the trie and shift tables.
-func (sh *SetHorspool) MemSize() int64 {
-	return patternsSize(sh.patterns) + 256*intSize + trieSize(sh.root)
-}
-
 // Next returns the start index and pattern index of the occurrence with the
 // smallest end position at or after start; ties on the end position are
 // broken in favour of the longest pattern.
@@ -252,16 +242,4 @@ func (sh *SetHorspool) Next(text []byte, start int, c *Counters) (int, int) {
 		e += shift
 	}
 	return -1, -1
-}
-
-// trieSize estimates the memory held by a reversed-pattern trie.
-func trieSize(n *cwNode) int64 {
-	if n == nil {
-		return 0
-	}
-	size := int64(3*intSize) + int64(len(n.children))*mapEntrySize
-	for _, child := range n.children {
-		size += trieSize(child)
-	}
-	return size
 }

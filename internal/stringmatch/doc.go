@@ -9,7 +9,6 @@
 //     vocabulary of the current automaton state contains a single keyword.
 //   - Horspool: the Boyer-Moore-Horspool simplification (bad-character rule
 //     only), provided for ablation experiments.
-//   - KMP: Knuth-Morris-Pratt, a character-at-a-time baseline.
 //   - Naive: the quadratic reference implementation used as a test oracle.
 //
 // Multi-keyword matchers:

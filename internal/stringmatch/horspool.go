@@ -29,11 +29,6 @@ func NewHorspool(pattern []byte) *Horspool {
 // Pattern returns the keyword this matcher searches for.
 func (h *Horspool) Pattern() []byte { return h.pattern }
 
-// MemSize returns the approximate footprint of the precomputed tables.
-func (h *Horspool) MemSize() int64 {
-	return int64(len(h.pattern)) + 256*intSize
-}
-
 // Next returns the start of the leftmost occurrence at or after start, or -1.
 func (h *Horspool) Next(text []byte, start int, c *Counters) int {
 	if start < 0 {

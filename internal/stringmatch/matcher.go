@@ -13,9 +13,6 @@ type Matcher interface {
 	Next(text []byte, start int, c *Counters) int
 	// Pattern returns the keyword this matcher searches for.
 	Pattern() []byte
-	// MemSize returns the approximate memory footprint of the matcher's
-	// precomputed tables in bytes.
-	MemSize() int64
 }
 
 // MultiMatcher locates occurrences of any keyword from a fixed set. Like
@@ -30,9 +27,6 @@ type MultiMatcher interface {
 	Next(text []byte, start int, c *Counters) (pos, pattern int)
 	// Patterns returns the keyword set.
 	Patterns() [][]byte
-	// MemSize returns the approximate memory footprint of the matcher's
-	// precomputed tables in bytes.
-	MemSize() int64
 }
 
 // Match is one occurrence reported by FindAll or FindAllMulti.
@@ -76,24 +70,6 @@ func FindAllMulti(m MultiMatcher, text []byte) []Match {
 
 // Count returns the number of occurrences of m's pattern in text.
 func Count(m Matcher, text []byte) int { return len(FindAll(m, text)) }
-
-// patternsSize sums the lengths of a pattern set (shared by the MemSize
-// implementations).
-func patternsSize(patterns [][]byte) int64 {
-	var n int64
-	for _, p := range patterns {
-		n += int64(len(p)) + sliceHeaderSize
-	}
-	return n
-}
-
-// Rough per-element footprint constants for MemSize estimates. They do not
-// aim for byte accuracy — only for footprints that rank and add up sensibly.
-const (
-	intSize         = 8
-	sliceHeaderSize = 24
-	mapEntrySize    = 16 // small byte-keyed map entry overhead, approximate
-)
 
 // minInt returns the smaller of a and b.
 func minInt(a, b int) int {

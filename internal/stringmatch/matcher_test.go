@@ -25,7 +25,6 @@ func referenceIndex(text, pattern []byte, start int) int {
 func singleMatchers(pattern []byte) map[string]Matcher {
 	return map[string]Matcher{
 		"naive":      NewNaive(pattern),
-		"kmp":        NewKMP(pattern),
 		"boyermoore": NewBoyerMoore(pattern),
 		"horspool":   NewHorspool(pattern),
 	}
@@ -135,7 +134,7 @@ func TestSingleMatchersAgainstReferenceRandom(t *testing.T) {
 }
 
 func TestSingleMatchersQuickProperty(t *testing.T) {
-	// Property: Boyer-Moore, Horspool and KMP agree with bytes.Index on
+	// Property: Boyer-Moore and Horspool agree with bytes.Index on
 	// arbitrary inputs drawn from a small alphabet.
 	f := func(textSeed []byte, patSeed []byte) bool {
 		if len(patSeed) == 0 {
@@ -330,7 +329,6 @@ func TestEmptyPatternPanics(t *testing.T) {
 		f()
 	}
 	assertPanics("naive", func() { NewNaive(nil) })
-	assertPanics("kmp", func() { NewKMP(nil) })
 	assertPanics("boyermoore", func() { NewBoyerMoore(nil) })
 	assertPanics("horspool", func() { NewHorspool(nil) })
 	assertPanics("commentz-walter", func() { NewCommentzWalter(nil) })

@@ -19,9 +19,6 @@ func NewNaive(pattern []byte) *Naive {
 // Pattern returns the keyword this matcher searches for.
 func (n *Naive) Pattern() []byte { return n.pattern }
 
-// MemSize returns the approximate footprint of the matcher.
-func (n *Naive) MemSize() int64 { return int64(len(n.pattern)) }
-
 // Next returns the start of the leftmost occurrence at or after start, or -1.
 func (n *Naive) Next(text []byte, start int, c *Counters) int {
 	m := len(n.pattern)
@@ -72,9 +69,6 @@ func NewNaiveMulti(patterns [][]byte) *NaiveMulti {
 
 // Patterns returns the keyword set.
 func (n *NaiveMulti) Patterns() [][]byte { return n.patterns }
-
-// MemSize returns the approximate footprint of the matcher.
-func (n *NaiveMulti) MemSize() int64 { return patternsSize(n.patterns) }
 
 // Next returns the occurrence with the smallest end position at or after
 // start; ties are broken in favour of the longest pattern.

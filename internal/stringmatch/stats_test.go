@@ -114,23 +114,3 @@ func TestCommentzWalterMinLength(t *testing.T) {
 		t.Errorf("MinLength = %d, want 2", cw.MinLength())
 	}
 }
-
-func TestMemSizePositiveAndOrdered(t *testing.T) {
-	pattern := []byte("<description")
-	patterns := [][]byte{[]byte("<description"), []byte("</australia"), []byte("<emailaddress")}
-	for name, m := range singleMatchers(pattern) {
-		if m.MemSize() <= 0 {
-			t.Errorf("%s: MemSize = %d, want > 0", name, m.MemSize())
-		}
-	}
-	for name, m := range multiMatchers(patterns) {
-		if m.MemSize() <= 0 {
-			t.Errorf("%s: MemSize = %d, want > 0", name, m.MemSize())
-		}
-	}
-	// Table-backed matchers must report a bigger footprint than the bare
-	// pattern bytes.
-	if bm := NewBoyerMoore(pattern); bm.MemSize() <= int64(len(pattern)) {
-		t.Errorf("BoyerMoore.MemSize = %d, want above pattern length", bm.MemSize())
-	}
-}
