@@ -70,7 +70,9 @@ func TestRunProjectsWithPaths(t *testing.T) {
 	}
 	// The static split of the states comes from the compile statistics: 2
 	// states search several keywords (Commentz-Walter), 4 one (Boyer-Moore).
-	if !strings.Contains(stderr.String(), "states 7 (2 CW + 4 BM), characters inspected 44.02%, rejected matches 0\n") {
+	// The scan verifies only anchors whose first two tagname bytes start a
+	// keyword, so it inspects 26.97% of the document.
+	if !strings.Contains(stderr.String(), "states 7 (2 CW + 4 BM), characters inspected 26.97%, rejected matches 0\n") {
 		t.Errorf("stats line changed: %q", stderr.String())
 	}
 }

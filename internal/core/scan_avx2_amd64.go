@@ -4,28 +4,30 @@ package core
 
 // This file is the AVX2 scan kernel: an assembly anchor filter
 // (scan_avx2_amd64.s) in front of the SWAR verifier. Per 64-byte block the
-// filter builds the '<' mask with VPCMPEQB/VPMOVMSKB and tests the byte
-// after each '<' — after "</", the byte after the slash — against the
-// nibble tables of ScanPlan (Teddy-style VPSHUFB lookups; Wang et al.,
-// "Hyperscan", NSDI 2019). Anchors whose bucket cannot hold a keyword are
-// dropped in the vector domain; the surviving positions are flattened into
-// a []uint32 with unconditional TZCNT/BLSR stores (simdjson's bit
-// flattening; Langdale & Lemire, VLDB J. 2019), and Go verifies only those.
+// filter builds the '<' mask with VPCMPEQB/VPMOVMSKB and tests the first two
+// tagname bytes after each '<' — after "</", the two bytes after the slash
+// — against the nibble tables of ScanPlan (Teddy-style VPSHUFB lookups with
+// two-byte masks; Wang et al., "Hyperscan", NSDI 2019). Anchors that no
+// keyword can start are dropped in the vector domain; the surviving
+// positions are flattened into a []uint32 with unconditional TZCNT/BLSR
+// stores (simdjson's bit flattening; Langdale & Lemire, VLDB J. 2019), and
+// Go verifies only those.
 //
-// A dropped anchor is exactly one that the SWAR and scalar kernels look up
-// and find an empty bucket for, inspecting nothing, so the counters stay
-// identical across all three kernels.
+// The filter is a superset of the exact two-byte test (bucket), which Go
+// applies to every survivor. A dropped anchor is thus one that the SWAR and
+// scalar kernels also reject before verifying, inspecting nothing, so the
+// counters stay identical across all three kernels.
 
 // filterAnchorsAVX2 scans the 64-byte blocks of data[:limit] for '<'
-// anchors (limit+2 <= len(data), so the loads at +1 and +2 stay in data).
-// It writes the positions of the anchors that pass the nibble tables tab to
-// out and returns how many it wrote (n) and the offset of the first block it
-// did not scan (next). It stops early, at a block boundary, once out has
-// room for fewer than 64 more positions. Positions are relative to data[0];
-// callers keep limit below 1<<32.
+// anchors (limit+3 <= len(data), so the loads at +1, +2 and +3 stay in
+// data). It writes the positions of the anchors that pass the nibble tables
+// tab to out and returns how many it wrote (n) and the offset of the first
+// block it did not scan (next). It stops early, at a block boundary, once
+// out has room for fewer than 64 more positions. Positions are relative to
+// data[0]; callers keep limit below 1<<32.
 //
 //go:noescape
-func filterAnchorsAVX2(data []byte, limit int, tab *[128]byte, out []uint32) (n, next int)
+func filterAnchorsAVX2(data []byte, limit int, tab *nibbleTables, out []uint32) (n, next int)
 
 // cpuid and xgetbv execute the instructions of the same name.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -71,7 +73,7 @@ func (s *SegmentScanner) scanAVX2(dst []Candidate, data []byte, base int64, owne
 // parameter, so tests can run the span handoff on small inputs.
 func (s *SegmentScanner) scanAVX2Span(dst []Candidate, data []byte, base int64, owned int, final bool, span int) []Candidate {
 	var buf [filterBufLen]uint32
-	limit := min(owned, len(data)-2)
+	limit := min(owned, len(data)-3)
 	w := 0
 	for w+64 <= limit {
 		n, next := filterAnchorsAVX2(data[w:], min(limit-w, span), &s.sp.nibbles, buf[:])
@@ -82,8 +84,8 @@ func (s *SegmentScanner) scanAVX2Span(dst []Candidate, data []byte, base int64, 
 				continue
 			}
 			// verifySWAR inlined: the filter admits a superset of the
-			// non-empty buckets, and a call per survivor costs the kernel
-			// 5–10% on XMark and MEDLINE.
+			// anchors bucket admits, and a call per survivor costs the
+			// kernel 5–10% on XMark and MEDLINE.
 			if bucket := s.bucket(data, pos); len(bucket) > 0 {
 				dst = s.verifyBucket(dst, bucket, data, base, pos, final)
 			}

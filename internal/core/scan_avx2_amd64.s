@@ -3,34 +3,48 @@
 #include "textflag.h"
 
 // FILTER32 filters the 32 anchor candidates at data[w+off:w+off+32] (SI =
-// data, CX = w): the '<' lanes whose bucket may be non-empty go to the
-// survivor bits smask. A lane's
-// bucket byte is the byte after the '<', or after "</" the byte after the
-// slash; each is tested with two VPSHUFB nibble lookups (Y12/Y11 for
-// opening keywords, Y10/Y9 for closing ones) whose AND is non-zero exactly
-// when the nibble tables admit the byte.
-#define FILTER32(off, off1, off2, smask) \
-	VMOVDQU  off(SI)(CX*1), Y0;  \
-	VMOVDQU  off1(SI)(CX*1), Y1; \
-	VMOVDQU  off2(SI)(CX*1), Y2; \
-	VPCMPEQB Y15, Y0, Y0;        \
-	VPAND    Y13, Y1, Y3;        \
-	VPSRLW   $4, Y1, Y4;         \
-	VPAND    Y13, Y4, Y4;        \
-	VPSHUFB  Y3, Y12, Y3;        \
-	VPSHUFB  Y4, Y11, Y4;        \
-	VPAND    Y4, Y3, Y3;         \
-	VPAND    Y13, Y2, Y5;        \
-	VPSRLW   $4, Y2, Y6;         \
-	VPAND    Y13, Y6, Y6;        \
-	VPSHUFB  Y5, Y10, Y5;        \
-	VPSHUFB  Y6, Y9, Y6;         \
-	VPAND    Y6, Y5, Y5;         \
-	VPCMPEQB Y14, Y1, Y1;        \
-	VPBLENDVB Y1, Y5, Y3, Y3;    \
-	VPCMPEQB Y8, Y3, Y3;         \
-	VPANDN   Y0, Y3, Y3;         \
-	VPMOVMSKB Y3, smask
+// data, CX = w): the '<' lanes whose first two tagname bytes may start a
+// keyword go to the survivor bits smask. After '<' the tagname bytes are at
+// +1 and +2; after "</", at +2 and +3. Each byte is split into nibbles
+// (Y13 = 0x0f) and looked up with VPSHUFB: the first byte in lo1 (Y11,
+// shared) and hi1 (Y12 opening, Y10 closing), the second in lo2/hi2 (Y9/Y8
+// opening, Y7/Y6 closing). A lane passes when its four lookups AND to
+// non-zero (see nibbleTables). The opening result is built in Y1, the
+// closing one in Y3, and the '/' lanes (Y2) pick the closing one.
+#define FILTER32(off, off1, off2, off3, smask) \
+	VMOVDQU   off1(SI)(CX*1), Y0; \
+	VPAND     Y13, Y0, Y1;        \
+	VPSRLW    $4, Y0, Y2;         \
+	VPAND     Y13, Y2, Y2;        \
+	VPSHUFB   Y1, Y11, Y1;        \
+	VPSHUFB   Y2, Y12, Y2;        \
+	VPAND     Y2, Y1, Y1;         \
+	VPCMPEQB  Y14, Y0, Y2;        \
+	VMOVDQU   off2(SI)(CX*1), Y0; \
+	VPAND     Y13, Y0, Y3;        \
+	VPSRLW    $4, Y0, Y4;         \
+	VPAND     Y13, Y4, Y4;        \
+	VPSHUFB   Y3, Y9, Y0;         \
+	VPAND     Y0, Y1, Y1;         \
+	VPSHUFB   Y4, Y8, Y0;         \
+	VPAND     Y0, Y1, Y1;         \
+	VPSHUFB   Y3, Y11, Y3;        \
+	VPSHUFB   Y4, Y10, Y4;        \
+	VPAND     Y4, Y3, Y3;         \
+	VMOVDQU   off3(SI)(CX*1), Y0; \
+	VPAND     Y13, Y0, Y4;        \
+	VPSHUFB   Y4, Y7, Y4;         \
+	VPAND     Y4, Y3, Y3;         \
+	VPSRLW    $4, Y0, Y0;         \
+	VPAND     Y13, Y0, Y0;        \
+	VPSHUFB   Y0, Y6, Y0;         \
+	VPAND     Y0, Y3, Y3;         \
+	VPBLENDVB Y2, Y3, Y1, Y1;     \
+	VPCMPEQB  Y5, Y1, Y1;         \
+	VMOVDQU   off(SI)(CX*1), Y0;  \
+	VPCMPEQB  Y15, Y0, Y0;        \
+	VPANDN    Y0, Y1, Y1;         \
+	VPMOVMSKB Y1, smask
 
 // STORE1 writes the position of the lowest survivor bit of R12 to out[BX+k]
 // and clears that bit. With no bit left it writes garbage past the count,
@@ -41,7 +55,7 @@
 	MOVL   AX, k(DI)(BX*4); \
 	BLSRQ  R12, R12
 
-// func filterAnchorsAVX2(data []byte, limit int, tab *[128]byte, out []uint32) (n, next int)
+// func filterAnchorsAVX2(data []byte, limit int, tab *nibbleTables, out []uint32) (n, next int)
 TEXT ·filterAnchorsAVX2(SB), NOSPLIT, $0-80
 	MOVQ data_base+0(FP), SI
 	MOVQ limit+24(FP), DX
@@ -49,20 +63,23 @@ TEXT ·filterAnchorsAVX2(SB), NOSPLIT, $0-80
 	MOVQ out_base+40(FP), DI
 	MOVQ out_len+48(FP), R8
 
-	VMOVDQU 0(AX), Y12  // opening keywords: low-nibble table
-	VMOVDQU 32(AX), Y11 // opening keywords: high-nibble table
-	VMOVDQU 64(AX), Y10 // closing keywords: low-nibble table
-	VMOVDQU 96(AX), Y9  // closing keywords: high-nibble table
-	MOVQ    $0x3c, AX   // '<'
+	VMOVDQU 0(AX), Y12   // opening hi1
+	VMOVDQU 32(AX), Y11  // lo1
+	VMOVDQU 64(AX), Y10  // closing hi1
+	VMOVDQU 96(AX), Y9   // opening lo2
+	VMOVDQU 128(AX), Y8  // opening hi2
+	VMOVDQU 160(AX), Y7  // closing lo2
+	VMOVDQU 192(AX), Y6  // closing hi2
+	MOVQ    $0x3c, AX    // '<'
 	MOVQ    AX, X15
 	VPBROADCASTB X15, Y15
-	MOVQ    $0x2f, AX   // '/'
+	MOVQ    $0x2f, AX    // '/'
 	MOVQ    AX, X14
 	VPBROADCASTB X14, Y14
 	MOVQ    $0x0f, AX
 	MOVQ    AX, X13
 	VPBROADCASTB X13, Y13
-	VPXOR   Y8, Y8, Y8
+	VPXOR   Y5, Y5, Y5
 
 	XORQ BX, BX // survivors written
 	XORQ CX, CX // block offset w
@@ -75,8 +92,8 @@ loop:
 	CMPQ AX, R8
 	JGT  done
 
-	FILTER32(0, 1, 2, R12)
-	FILTER32(32, 33, 34, R13)
+	FILTER32(0, 1, 2, 3, R12)
+	FILTER32(32, 33, 34, 35, R13)
 	SHLQ $32, R13
 	ORQ  R13, R12
 

@@ -25,23 +25,25 @@ func init() {
 	)
 }
 
-// TestAVX2FilterPairs runs the assembly filter over every (b1, b2) pair
-// after a '<' and checks its results against the bucket arrays: each
-// anchor with a non-empty bucket survives, and the scan stops where the
-// block loop must.
+// TestAVX2FilterPairs runs the assembly filter over every two-byte prefix
+// after '<' ("<b1b2") and after "</" ("</b1b2") and checks its results
+// against the scalar model of the nibble tables (nibblePass) and the exact
+// test: each anchor survives exactly when the model admits it, every anchor
+// that starts a keyword survives, and the scan stops where the block loop
+// must.
 func TestAVX2FilterPairs(t *testing.T) {
 	if !avx2Kernel {
 		t.Skip("CPU does not run the AVX2 kernel")
 	}
+	// "<" b1 b2 and "</" b1 b2 for all 65536 pairs, then three bytes of
+	// slack so the last anchor's +1..+3 loads stay in the data.
+	data := make([]byte, 0, 7*65536+3)
+	for p := 0; p < 65536; p++ {
+		data = append(data, '<', byte(p>>8), byte(p), '<', '/', byte(p>>8), byte(p))
+	}
+	data = append(data, 'x', 'x', 'x')
+	limit := len(data) - 3
 	for name, sp := range filterTestPlans(t) {
-		// "<" b1 b2 for all 65536 pairs, then two bytes of slack so the
-		// last triple's +1/+2 loads stay in the data.
-		data := make([]byte, 0, 3*65536+2)
-		for p := 0; p < 65536; p++ {
-			data = append(data, '<', byte(p>>8), byte(p))
-		}
-		data = append(data, 'x', 'x')
-		limit := len(data) - 2
 		var w int
 		survived := make(map[int]bool)
 		out := make([]uint32, filterBufLen)
@@ -61,56 +63,65 @@ func TestAVX2FilterPairs(t *testing.T) {
 		if w+64 <= limit || w > limit {
 			t.Fatalf("%s: filter stopped at %d with limit %d", name, w, limit)
 		}
+		s := sp.NewScanner()
 		for pos := 0; pos < w; pos++ {
-			if data[pos] == '<' && len(sp.NewScanner().bucket(data, pos)) > 0 && !survived[pos] {
-				t.Fatalf("%s: anchor %d (%q) has a non-empty bucket but was filtered out", name, pos, data[pos:pos+3])
+			if data[pos] != '<' {
+				continue
+			}
+			if model := nibblePass(&sp.nibbles, data, pos); survived[pos] != model {
+				t.Fatalf("%s: anchor %d (%q) survived=%v, nibble tables %v", name, pos, data[pos:pos+4], survived[pos], model)
+			}
+			if s.bucket(data, pos) != nil && !survived[pos] {
+				t.Fatalf("%s: anchor %d (%q) starts a keyword but was filtered out", name, pos, data[pos:pos+4])
 			}
 		}
 	}
 }
 
-// TestAVX2FilterDenseBlocks fills whole blocks with anchors, so every block
-// has more survivors than the four unconditional stores and the buffer
-// fills after a few blocks: the rarely taken store loop and the early
-// return with a full buffer both run, up to blocks where every lane
-// survives.
+// TestAVX2FilterDenseBlocks fills whole blocks with anchors that pass the
+// two-byte test, so every block has more survivors than the four
+// unconditional stores and the buffer fills after a few blocks: the rarely
+// taken store loop and the early return with a full buffer both run, up to
+// blocks where every lane survives.
 func TestAVX2FilterDenseBlocks(t *testing.T) {
 	if !avx2Kernel {
 		t.Skip("CPU does not run the AVX2 kernel")
 	}
-	sp := makeScanPlan(t, fig1DTD, "/*, //australia//description#")
-	data := make([]byte, 64*64+2)
-	for i := range data {
-		data[i] = '<'
-		if i%2 == 1 {
-			data[i] = 'd' // "<d" opens the non-empty "<description" bucket
-		}
-	}
+	// "<a " starts the one-byte keyword "<a" at every third byte: 22
+	// survivors in the first block, 21 in the next ones.
+	sp := nonASCIIScanPlan()
+	data := bytes.Repeat([]byte("<a "), 64*64/3+1)
 	out := make([]uint32, 100)
-	n, next := filterAnchorsAVX2(data, len(data)-2, &sp.nibbles, out)
-	// 32 survivors per block; the buffer takes a block only while 64 slots
-	// are free, so two blocks fit.
-	if n != 64 || next != 128 {
-		t.Fatalf("got n=%d next=%d, want 64 128", n, next)
+	n, next := filterAnchorsAVX2(data, len(data)-3, &sp.nibbles, out)
+	// The buffer takes a block only while 64 slots are free, so two blocks
+	// fit.
+	if n != 43 || next != 128 {
+		t.Fatalf("got n=%d next=%d, want 43 128", n, next)
 	}
 	for i, p := range out[:n] {
-		if p != uint32(2*i) {
-			t.Fatalf("survivor %d at %d, want %d", i, p, 2*i)
+		if p != uint32(3*i) {
+			t.Fatalf("survivor %d at %d, want %d", i, p, 3*i)
 		}
 	}
 	diffKernels(t, sp, data, 0, len(data), true)
 
-	// A run of '<' under a vocabulary with a tag starting with 0xBC, which
-	// aliases '<' (0x3C) in the nibble tables: all 64 lanes of every block
+	// A run of '<' under a vocabulary whose every '<' lane passes the
+	// nibble tables, though none starts a keyword: its first tagname byte
+	// '4' (0x34) shares '<''s (0x3C) high nibble and group (the low three
+	// bits), and its follow set {'|', '0'} holds '<''s low nibble (from '|',
+	// 0x7C) and high nibble (from '0', 0x30). All 64 lanes of every block
 	// survive. The buffer has room for one block and 63 more slots; the
 	// kernel must not write past it (the slots beyond hold a sentinel).
-	full := newScanPlan(nil, map[string]glushkov.Token{"<\xbcx": glushkov.Open("\xbcx")})
-	anchorsOnly := bytes.Repeat([]byte{'<'}, 4*64+2)
+	full := newScanPlan(nil, map[string]glushkov.Token{
+		"<4|": glushkov.Open("4|"),
+		"<40": glushkov.Open("40"),
+	})
+	anchorsOnly := bytes.Repeat([]byte{'<'}, 4*64+3)
 	backing := make([]uint32, 64+63+16)
 	for i := range backing {
 		backing[i] = 0xdeadbeef
 	}
-	n, next = filterAnchorsAVX2(anchorsOnly, len(anchorsOnly)-2, &full.nibbles, backing[:64+63])
+	n, next = filterAnchorsAVX2(anchorsOnly, len(anchorsOnly)-3, &full.nibbles, backing[:64+63])
 	if n != 64 || next != 64 {
 		t.Fatalf("full blocks: got n=%d next=%d, want 64 64", n, next)
 	}
@@ -119,7 +130,9 @@ func TestAVX2FilterDenseBlocks(t *testing.T) {
 			t.Fatalf("filter wrote slot %d past the end of its buffer", 64+63+i)
 		}
 	}
-	diffKernels(t, full, anchorsOnly, 0, len(anchorsOnly), true)
+	if got := diffKernels(t, full, anchorsOnly, 0, len(anchorsOnly), true); len(got) != 0 {
+		t.Fatalf("a run of '<' yielded %d candidates", len(got))
+	}
 }
 
 func TestDetectAVX2(t *testing.T) {

@@ -9,9 +9,44 @@ import (
 	"smp/internal/xmlgen"
 )
 
-// nibblePass is the scalar form of the AVX2 filter's test of one byte
-// against one table pair (the opening or closing half of ScanPlan.nibbles).
-func nibblePass(t []byte, b byte) bool { return t[b&15]&t[32+int(b>>4)] != 0 }
+// nibblePass is the scalar form of the AVX2 filter's test of the anchor at
+// pos: the first two tagname bytes after '<', or after "</", looked up in
+// the nibble tables. data must hold pos+3.
+func nibblePass(t *nibbleTables, data []byte, pos int) bool {
+	hi1, lo2, hi2 := nibbleOpenHi1, nibbleOpenLo2, nibbleOpenHi2
+	b1, b2 := data[pos+1], data[pos+2]
+	if b1 == '/' {
+		hi1, lo2, hi2 = nibbleCloseHi1, nibbleCloseLo2, nibbleCloseHi2
+		b1, b2 = data[pos+2], data[pos+3]
+	}
+	return t[nibbleLo1][b1&15]&t[hi1][b1>>4]&t[lo2][b2&15]&t[hi2][b2>>4] != 0
+}
+
+// startsKeyword is the definition the two-byte test implements, computed
+// from the vocabulary alone: whether some keyword of sp agrees with the
+// anchor at pos on '<', the optional '/', and the first tagname byte, and
+// continues with the byte after it — the keyword's next byte, or any tag
+// terminator when the tagname has one byte.
+func startsKeyword(sp *ScanPlan, data []byte, pos int) bool {
+	closing := data[pos+1] == '/'
+	first := pos + 1
+	if closing {
+		first++
+	}
+	for i, kw := range sp.Keywords() {
+		if sp.Tokens()[i].Close != closing || kw[first-pos] != data[first] {
+			continue
+		}
+		if next := first - pos + 1; next < len(kw) {
+			if kw[next] == data[first+1] {
+				return true
+			}
+		} else if IsTagTerminator(data[first+1], closing) {
+			return true
+		}
+	}
+	return false
+}
 
 // nonASCIIScanPlan buckets a vocabulary of non-ASCII tag names, with first
 // tagname bytes under every high nibble from 8 to F beside ASCII names that
@@ -47,39 +82,42 @@ func filterTestPlans(t testing.TB) map[string]*ScanPlan {
 	}
 }
 
-// TestNibbleTablesCoverBuckets checks the filter's tables exhaustively over
-// all 256×256 (b1, b2) pairs after a '<': every pair whose bucket is
-// non-empty passes, so the filter never drops an anchor that has a keyword
-// to verify. For ASCII bytes of an ASCII vocabulary the test is also exact.
+// TestNibbleTablesCoverBuckets checks the two-byte test exhaustively: over
+// every byte triple after '<' ("<b1b2") and every quadruple after "</"
+// ("</b1b2"), the exact test (bucket) admits the anchor exactly when some
+// keyword starts with those bytes, and the vector tables admit every anchor
+// the exact test does, so the filter never drops an anchor that has a
+// keyword to verify.
 func TestNibbleTablesCoverBuckets(t *testing.T) {
 	for name, sp := range filterTestPlans(t) {
 		s := sp.NewScanner()
-		openT, closeT := sp.nibbles[:64], sp.nibbles[64:]
-		ascii := name != "non-ascii"
-		var passed, nonEmpty int
-		for b1 := 0; b1 < 256; b1++ {
-			for b2 := 0; b2 < 256; b2++ {
-				data := []byte{'<', byte(b1), byte(b2)}
-				pass := nibblePass(openT, byte(b1))
-				if b1 == '/' {
-					pass = nibblePass(closeT, byte(b2))
+		var passed, exact int
+		for _, prefix := range []string{"<", "</"} {
+			for b1 := 0; b1 < 256; b1++ {
+				if prefix == "<" && b1 == '/' {
+					continue // the closing prefix
 				}
-				full := len(s.bucket(data, 0)) > 0
-				if full && !pass {
-					t.Fatalf("%s: %q has a non-empty bucket but fails the nibble filter", name, data)
-				}
-				if ascii && b1 < 0x80 && b2 < 0x80 && pass != full {
-					t.Fatalf("%s: %q passes=%v, bucket non-empty=%v; want exact on ASCII", name, data, pass, full)
-				}
-				if pass {
-					passed++
-				}
-				if full {
-					nonEmpty++
+				for b2 := 0; b2 < 256; b2++ {
+					data := append([]byte(prefix), byte(b1), byte(b2), 'x')
+					want := startsKeyword(sp, data, 0)
+					got := s.bucket(data, 0) != nil
+					if got != want {
+						t.Fatalf("%s: %q: exact test %v, want %v", name, data, got, want)
+					}
+					pass := nibblePass(&sp.nibbles, data, 0)
+					if got && !pass {
+						t.Fatalf("%s: %q starts a keyword but fails the nibble filter", name, data)
+					}
+					if pass {
+						passed++
+					}
+					if got {
+						exact++
+					}
 				}
 			}
 		}
-		t.Logf("%s: %d of 65536 pairs pass, %d have a non-empty bucket", name, passed, nonEmpty)
+		t.Logf("%s: %d of 2×65536 two-byte prefixes pass the nibble filter, %d the exact test", name, passed, exact)
 	}
 }
 

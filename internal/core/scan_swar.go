@@ -102,8 +102,8 @@ func (s *SegmentScanner) scanSWARFrom(dst []Candidate, data []byte, base int64, 
 				dst = s.verifySWAR(dst, data, base, pos, final)
 				continue
 			}
-			// Most anchors open tags outside the union vocabulary: their
-			// empty bucket is rejected here, without a call.
+			// Most anchors open tags outside the union vocabulary: the
+			// two-byte test rejects them here, without a call.
 			if bucket := s.bucket(data, pos); len(bucket) > 0 {
 				dst = s.verifyBucket(dst, bucket, data, base, pos, final)
 			}
@@ -147,21 +147,28 @@ func (s *SegmentScanner) verifySWAR(dst []Candidate, data []byte, base int64, po
 	return s.verifyBucket(dst, bucket, data, base, pos, final)
 }
 
-// bucket returns the keywords that can start at the '<' anchor pos: the
-// opening keywords indexed by the byte after the '<', or after "</" the
-// closing keywords indexed by the byte after the slash. pos+2 must be in
-// data.
+// bucket returns the keywords that can start at the '<' anchor pos, or nil
+// when none can: the opening keywords whose first tagname byte is the byte
+// after the '<', or after "</" the closing keywords whose first tagname
+// byte is the byte after the slash — provided the byte after that is in the
+// bucket's follow set. The anchor's two tagname bytes must be in data:
+// pos+2 after '<', pos+3 after "</".
 func (s *SegmentScanner) bucket(data []byte, pos int) []scanKeyword {
-	if c1 := data[pos+1]; c1 != '/' {
-		return s.sp.open[c1]
+	b, next := int(data[pos+1]), data[pos+2]
+	if b == '/' {
+		b, next = 256+int(next), data[pos+3]
 	}
-	return s.sp.closing[data[pos+2]]
+	if bk := &s.sp.buckets[s.sp.bucketOf[b]]; bk.admits(next) {
+		return bk.kws
+	}
+	return nil
 }
 
-// verifyBucket runs the masked word compares for a non-empty bucket and
-// appends the candidate, if any, to dst; the caller has already ruled out
-// the near-end boundary (pos+8 <= len(data)). One inspected character for
-// the probe, then len+1 for each keyword whose end is in view, match or not.
+// verifyBucket runs the masked word compares for the keywords bucket
+// returned and appends the candidate, if any, to dst; the caller has
+// already ruled out the near-end boundary (pos+8 <= len(data)). One
+// inspected character for the probe, then len+1 for each keyword whose end
+// is in view, match or not.
 func (s *SegmentScanner) verifyBucket(dst []Candidate, bucket []scanKeyword, data []byte, base int64, pos int, final bool) []Candidate {
 	s.inspected++
 	load := binary.LittleEndian.Uint64(data[pos:])

@@ -251,14 +251,31 @@ func TestScanSWARTailAnchor(t *testing.T) {
 	}
 }
 
+// FuzzScanEquivalence differences the kernels on arbitrary inputs under
+// four vocabularies: the small test DTDs, the MEDLINE query union (many
+// names sharing their first two bytes, such as "<Me…"), and the non-ASCII
+// vocabulary with its one-byte names. The seeds cover what the two-byte
+// test decides: one-byte names and their terminators, shared two-byte
+// prefixes, non-ASCII names, and anchors within three bytes of the data end.
 func FuzzScanEquivalence(f *testing.F) {
-	fig1 := makeScanPlan(f, fig1DTD, "/*, //australia//description#")
-	prefix := makeScanPlan(f, prefixScanDTD, "/*, //AbstractText#", "//Abstract#, //ab")
+	plans := []*ScanPlan{
+		makeScanPlan(f, fig1DTD, "/*, //australia//description#"),
+		makeScanPlan(f, prefixScanDTD, "/*, //AbstractText#", "//Abstract#, //ab"),
+		filterTestPlans(f)["medline-union"],
+		nonASCIIScanPlan(),
+	}
 	f.Add([]byte("<site><regions><australia><item><description>x</description></item></australia></regions></site>"), 20, true)
 	f.Add([]byte("<Abstract ><AbstractText><ab/></AbstractText>"), 45, false)
 	f.Add([]byte("<<<<<<<<<<<<<<<<"), 9, true)
 	f.Add([]byte("text<item attr=\"a>b\" unterminated"), 33, false)
 	f.Add([]byte(strings.Repeat("x", 13)+"<description"), 25, true)
+	f.Add([]byte("<a><a/><a\t></a><ab><a\n</a >"), 30, true)
+	f.Add([]byte("<MedlineCitation><MeshHeadingList><MeshHeading></MeshHeading></MeshHeadingList><Me></MedlineCitation>"), 60, false)
+	f.Add([]byte("<été a='1'>ñandú</été><中文/><\x80x></\xffv><ét>"), 40, true)
+	f.Add([]byte("xx<a"), 4, true)
+	f.Add([]byte("xx</a"), 5, true)
+	f.Add([]byte("xx<a>"), 5, true)
+	f.Add([]byte("</p>"), 1, false)
 	f.Fuzz(func(t *testing.T, data []byte, owned int, final bool) {
 		if owned < 0 {
 			owned = -owned
@@ -266,8 +283,9 @@ func FuzzScanEquivalence(f *testing.F) {
 		if owned > len(data) {
 			owned = len(data)
 		}
-		diffKernels(t, fig1, data, 0, owned, final)
-		diffKernels(t, prefix, data, 0, owned, final)
+		for _, sp := range plans {
+			diffKernels(t, sp, data, 0, owned, final)
+		}
 	})
 }
 

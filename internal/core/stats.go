@@ -17,8 +17,14 @@ type Stats struct {
 	BytesWritten int64
 	// CharComparisons is the number of characters inspected ("Char
 	// Comp."): those the keyword verification and tag-end scans examine,
-	// the same on every scan kernel (the '<' anchors the kernels find are
-	// not counted); on the Fig. 4 engine also its string matchers'.
+	// the same on every scan kernel. The scan verifies only the '<' anchors
+	// whose first two tagname bytes (after "</", the two after the slash)
+	// can start a keyword of its vocabulary; each such anchor counts one
+	// for the probe, then each keyword of its bucket whose end is in view
+	// counts its length plus its terminator, and a match adds the bytes of
+	// its tag-end scan. Anchors rejected by the two-byte test, and the
+	// anchors themselves, are not counted. On the Fig. 4 engine the count
+	// also includes its string matchers'.
 	CharComparisons int64
 	// BytesScanned is the production scan's work: the bytes its kernels
 	// covered, summed over the segments they scanned. Zero on the Fig. 4

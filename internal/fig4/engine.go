@@ -13,14 +13,12 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/glushkov"
-	"smp/internal/mmapio"
 	"smp/internal/stringmatch"
 )
 
@@ -220,27 +218,12 @@ func (p *Prefilter) Project(ctx context.Context, dst io.Writer, src io.Reader) (
 	return p.ProjectWith(ctx, dst, src, RunOptions{})
 }
 
-// ProjectWith is Project with per-run overrides.
-//
-// When src is an *os.File backed by a regular file (on platforms with mmap
-// support), the document is memory-mapped and the run takes the zero-copy
-// in-memory path — no window copies, Stats.ZeroCopyInput set — with the
-// file offset advanced past the scanned bytes afterwards so the file looks
-// consumed exactly as a streaming run would leave it. Pipes, FIFOs, other
-// readers, and mapping failures of any kind stream as before.
+// ProjectWith is Project with per-run overrides. Every reader, files
+// included, streams through the engine's window; ProjectBytesWith takes a
+// document already in memory.
 func (p *Prefilter) ProjectWith(ctx context.Context, dst io.Writer, src io.Reader, opts RunOptions) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
-	}
-	if f, ok := src.(*os.File); ok {
-		if m, err := mmapio.Map(f); err == nil {
-			defer m.Close()
-			stats, err := p.ProjectBytesWith(ctx, dst, m.Bytes(), opts)
-			// Best-effort offset parity with the streaming path: BytesRead
-			// is exactly what the window would have consumed.
-			f.Seek(m.Offset()+stats.BytesRead, io.SeekStart)
-			return stats, err
-		}
 	}
 	e := p.pool.Get().(*engine)
 	e.win.reset(ctx, src, p.chunk(opts))

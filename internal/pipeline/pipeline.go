@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"smp/internal/core"
 	"smp/internal/mmapio"
@@ -49,6 +50,11 @@ type Engine struct {
 	steps   []stepTable
 	kwID    map[string]int32
 	memSize int64
+	// cands keeps the candidate lists of finished runs (*[]core.Candidate)
+	// for the next run of this engine, so a steady stream of projections
+	// does not grow its lists from nil every time. Being a sync.Pool, it
+	// lets the garbage collector drop lists that stay unused.
+	cands sync.Pool
 }
 
 // New merges the compiled plans of K queries into one projection engine.
@@ -275,7 +281,7 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 		return e.projectSerial(ctx, dsts, io.MultiReader(bytes.NewReader(first[:n]), errorReader{err}), nil, chunk, opts.Trace)
 	}
 
-	ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap, src, first, nil)
+	ps := newParallelSource(ctx, e.scan, &e.cands, opts.Workers, segSize, overlap, src, first, nil)
 	return newDriver(e, dsts, ps, opts.Trace).run()
 }
 
@@ -293,7 +299,7 @@ func (e *Engine) ProjectBuffered(ctx context.Context, dsts []io.Writer, doc []by
 	if opts.Workers <= 1 || len(doc) < segSize+overlap || ctx.Err() != nil {
 		res, err = e.projectSerial(ctx, dsts, nil, doc, chunk, opts.Trace)
 	} else {
-		ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap, nil, nil, doc)
+		ps := newParallelSource(ctx, e.scan, &e.cands, opts.Workers, segSize, overlap, nil, nil, doc)
 		res, err = newDriver(e, dsts, ps, opts.Trace).run()
 	}
 	res.Scan.ZeroCopyInput = true
@@ -310,5 +316,5 @@ func (e *Engine) projectSerial(ctx context.Context, dsts []io.Writer, src io.Rea
 	if segSize < 64 {
 		segSize = 64
 	}
-	return newDriver(e, dsts, newSerialSource(ctx, src, doc, e.scan, segSize), trace).run()
+	return newDriver(e, dsts, newSerialSource(ctx, src, doc, e.scan, &e.cands, segSize), trace).run()
 }

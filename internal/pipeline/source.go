@@ -72,10 +72,15 @@ type source interface {
 // hence the lock. It is a free list only: an empty pool allocates, it
 // never waits for a retirement — a tag straddling many segments keeps them
 // all live, so a bound released on retire could deadlock.
+//
+// Candidate lists also outlive the run: release hands the free ones to the
+// engine's pool (lists), and a run whose own lists are all in use draws
+// from there before it allocates.
 type segPool struct {
 	mu    sync.Mutex
 	segs  []*mseg
 	cands [][]core.Candidate
+	lists *sync.Pool
 	// candCap is the largest candidate-list capacity retired so far: a
 	// list allocated once the pool has run dry starts at that size instead
 	// of growing from nil.
@@ -114,6 +119,9 @@ func (p *segPool) candidates() []core.Candidate {
 		p.cands = p.cands[:n-1]
 		return cands
 	}
+	if l, ok := p.lists.Get().(*[]core.Candidate); ok {
+		return *l
+	}
 	if p.candCap == 0 {
 		return nil
 	}
@@ -135,6 +143,16 @@ func (p *segPool) put(seg *mseg) {
 		p.candCap = max(p.candCap, cap(cands))
 	}
 	p.mu.Unlock()
+}
+
+// release hands the run's free candidate lists to the engine's pool, for
+// the engine's next runs. It is called once, when no scanner or driver of
+// the run uses the pool any more.
+func (p *segPool) release() {
+	for _, cands := range p.cands {
+		p.lists.Put(&cands)
+	}
+	p.cands = nil
 }
 
 // segmenter cuts the input into overlapping segments: the one segmentation
@@ -166,10 +184,11 @@ type segmenter struct {
 }
 
 // newSegmenter prepares the cut of r (or of doc when r is nil). first holds
-// any bytes of r already read, the start of the first segment.
-func newSegmenter(ctx context.Context, r io.Reader, first, doc []byte, segSize, overlap int, parallel bool) *segmenter {
+// any bytes of r already read, the start of the first segment; lists is the
+// engine's pool of candidate lists.
+func newSegmenter(ctx context.Context, r io.Reader, first, doc []byte, segSize, overlap int, parallel bool, lists *sync.Pool) *segmenter {
 	g := &segmenter{ctx: ctx, r: r, doc: doc, segSize: segSize, overlap: overlap}
-	g.pool.parallel, g.pool.keepData = parallel, r != nil
+	g.pool.parallel, g.pool.keepData, g.pool.lists = parallel, r != nil, lists
 	g.carry = g.pool.get()
 	g.carry.data = first
 	g.bytesRead = int64(len(first))
@@ -261,9 +280,9 @@ type serialSource struct {
 	sc  *core.SegmentScanner
 }
 
-func newSerialSource(ctx context.Context, r io.Reader, doc []byte, scan *core.ScanPlan, segSize int) *serialSource {
+func newSerialSource(ctx context.Context, r io.Reader, doc []byte, scan *core.ScanPlan, lists *sync.Pool, segSize int) *serialSource {
 	return &serialSource{
-		seg: newSegmenter(ctx, r, nil, doc, segSize, scan.MaxKeywordLen()+1, false),
+		seg: newSegmenter(ctx, r, nil, doc, segSize, scan.MaxKeywordLen()+1, false, lists),
 		sc:  scan.NewScanner(),
 	}
 }
@@ -283,6 +302,7 @@ func (s *serialSource) err() error { return s.seg.terminal }
 func (s *serialSource) recycle(seg *mseg) { s.seg.pool.put(seg) }
 
 func (s *serialSource) close(st *core.Stats) {
+	s.seg.pool.release()
 	st.BytesRead = s.seg.bytesRead
 	addScanner(st, s.sc)
 }
@@ -332,7 +352,7 @@ type parallelSource struct {
 // newParallelSource starts the reader and the W scanners over r (first
 // holds the block Project already read while probing the input size) or,
 // when r is nil, over the in-memory doc.
-func newParallelSource(ctx context.Context, scan *core.ScanPlan, workers, segSize, overlap int, r io.Reader, first, doc []byte) *parallelSource {
+func newParallelSource(ctx context.Context, scan *core.ScanPlan, lists *sync.Pool, workers, segSize, overlap int, r io.Reader, first, doc []byte) *parallelSource {
 	p := &parallelSource{
 		ctx:     ctx,
 		scan:    scan,
@@ -340,7 +360,7 @@ func newParallelSource(ctx context.Context, scan *core.ScanPlan, workers, segSiz
 		ordered: make(chan *mseg, scanAhead(workers)),
 		quit:    make(chan struct{}),
 	}
-	p.seg = newSegmenter(ctx, r, first, doc, segSize, overlap, true)
+	p.seg = newSegmenter(ctx, r, first, doc, segSize, overlap, true, lists)
 	p.readerWG.Add(1)
 	go func() {
 		defer p.readerWG.Done()
@@ -481,6 +501,7 @@ func (p *parallelSource) close(st *core.Stats) {
 	}
 	p.readerWG.Wait()
 	p.scanWG.Wait()
+	p.seg.pool.release()
 	st.BytesRead = p.seg.bytesRead
 	for _, sc := range p.scanners {
 		addScanner(st, sc)

@@ -68,7 +68,7 @@ func TestParallelScanAhead(t *testing.T) {
 	if n := len(doc) / segSize; n < 64 {
 		t.Fatalf("fixture has %d segments, want >= 64", n)
 	}
-	p := newParallelSource(context.Background(), eng.scan, workers, segSize, overlap, nil, nil, doc)
+	p := newParallelSource(context.Background(), eng.scan, &eng.cands, workers, segSize, overlap, nil, nil, doc)
 	// Wait for the event the bound promises: the reorder buffer full.
 	for len(p.ordered) < cap(p.ordered) {
 		runtime.Gosched()

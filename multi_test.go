@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -290,4 +293,69 @@ func TestStatsAdd(t *testing.T) {
 	if a != want {
 		t.Errorf("Add result = %+v, want %+v", a, want)
 	}
+}
+
+// TestMultiProjectReusesCandidateLists pins the reuse of candidate lists
+// across runs of one engine: after a warm-up, a W=2 MultiProject of a mapped
+// 2 MiB MEDLINE document over the five MEDLINE queries allocates at most a
+// quarter of what it did when every run grew its lists from nil (a median
+// of 486,544 bytes per run then, about 7 KB now). The median of nine runs
+// is taken, so a run that meets a garbage collection — which may empty the
+// pool — does not decide.
+func TestMultiProjectReusesCandidateLists(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	m, doc := multiFixture(t, Medline, 5, 2<<20)
+	path := filepath.Join(t.TempDir(), "medline.xml")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	opts := []ProjectOption{WithWorkers(2), WithChunkSize(64 << 10)}
+	if m.MinParallelInput(2, opts...) > len(doc) {
+		t.Fatalf("a %d-byte document does not fan out", len(doc))
+	}
+	run := func() uint64 {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.MultiProject(context.Background(), nil, f, opts...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	run()
+	allocs := make([]uint64, 9)
+	for i := range allocs {
+		allocs[i] = run()
+	}
+	slices.Sort(allocs)
+	t.Logf("bytes allocated per run: %v", allocs)
+	const limit = 486544 / 4
+	if median := allocs[len(allocs)/2]; median > limit {
+		t.Fatalf("a warm MultiProject allocates %d bytes (median of %d runs), want at most %d", median, len(allocs), limit)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
